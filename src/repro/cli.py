@@ -582,12 +582,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="per-session pending requests before backpressure replies",
     )
     p_serve.add_argument(
-        "--debounce-ms",
-        type=float,
-        default=0.0,
-        help="hold a batch open this long waiting for more edits",
-    )
-    p_serve.add_argument(
         "--timeout",
         type=float,
         default=30.0,

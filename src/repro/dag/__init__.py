@@ -1,6 +1,6 @@
 """The abstract parse DAG: nodes, traversal, validation, and space metrics."""
 
-from .metrics import (
+from ..obs.space import (
     SpaceReport,
     ambiguity_overhead_percent,
     measure_disambiguated,

@@ -22,12 +22,11 @@ Everything is **off by default** and the disabled fast path is a single
 module-level flag test -- `repro.bench.obs_overhead` is the bench guard
 holding the disabled overhead under 3% of per-edit latency.
 
-The subsystem also owns the formerly ad-hoc measurement modules:
-:mod:`repro.obs.space` (parse-DAG space accounting, ex ``dag.metrics``)
-and the Appendix-B parser action tracer (:class:`Tracer` /
-:func:`format_trace`, ex ``repro.obs.events`` ex ``parser.trace``, now
-folded into :mod:`repro.obs.core`); the old import paths remain as
-compatibility shims.  Point events (:func:`event`) share the span
+The subsystem also owns the formerly ad-hoc measurement code:
+:mod:`repro.obs.space` (parse-DAG space accounting, re-exported by
+:mod:`repro.dag`) and, in :mod:`repro.obs.core`, the Appendix-B parser
+action tracer (:class:`Tracer` / :func:`format_trace`, re-exported by
+:mod:`repro.parser`).  Point events (:func:`event`) share the span
 stream for one-shot occurrences such as invalidation cascades.
 
 Instrumented modules access this package by attribute

@@ -412,12 +412,11 @@ def collecting() -> Iterator[dict[str, int]]:
 
 # -- parser action tracing (Appendix B reproduction) --------------------------
 #
-# Folded in from the former ``repro.obs.events`` module (itself ex
-# ``repro.parser.trace``; both paths remain as shims).  The paper's
-# Appendix B walks through the IGLR parser's shift/reduce/split actions
-# on the typedef example; a :class:`Tracer` attached to an
-# ``IGLRParser(..., tracer=...)`` records the same event stream and
-# :func:`format_trace` renders it in the appendix's ``S:``/``R:`` style.
+# The paper's Appendix B walks through the IGLR parser's
+# shift/reduce/split actions on the typedef example; a :class:`Tracer`
+# attached to an ``IGLRParser(..., tracer=...)`` records the same event
+# stream and :func:`format_trace` renders it in the appendix's
+# ``S:``/``R:`` style.
 # Unlike spans/counters, which measure *how much* work happened, the
 # tracer records *which* parser actions happened in order -- a
 # qualitative trace for correctness arguments, not a performance one.

@@ -1,7 +1,7 @@
 """Space accounting for parse DAGs (paper sections 2.1 and 5).
 
-Part of the :mod:`repro.obs` observability subsystem (formerly
-``repro.dag.metrics``; that path remains as a shim).
+Part of the :mod:`repro.obs` observability subsystem; :mod:`repro.dag`
+re-exports its public names.
 
 The paper's space experiments compare an abstract parse dag carrying
 explicit ambiguity against the fully disambiguated parse tree a batch

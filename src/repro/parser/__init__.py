@@ -1,5 +1,6 @@
 """Parsers: batch LR/GLR, deterministic incremental LR, and IGLR."""
 
+from ..obs import Tracer, format_trace
 from .glr import GLRParser, enumerate_trees
 from .gss import GssLink, GssNode
 from .incremental_lr import IncrementalLRParser
@@ -7,7 +8,6 @@ from .input_stream import InputStream
 from .iglr import IGLRParser, ParseError, ParseResult, ParseStats
 from .lr import LRParser
 from .plan import ParsePlan
-from .trace import Tracer, format_trace
 
 __all__ = [
     "GLRParser",

@@ -120,7 +120,7 @@ class IGLRParser:
         self.table = table
         self.grammar = table.grammar
         self.share_nodes = share_nodes
-        self.tracer = tracer  # optional repro.parser.trace.Tracer
+        self.tracer = tracer  # optional repro.obs.Tracer
         # Node retention (paper [25]): reductions that rebuild a
         # decomposed node identically reuse the old object, so semantic
         # attributes and annotations survive the reparse.

@@ -86,6 +86,22 @@ class ProjectGraph:
         seeding: the authoritative delta was produced elsewhere)."""
         self._exports[name] = set(names)
 
+    def record_delta(
+        self,
+        dependent: str,
+        dependency: str,
+        added: set[str],
+        removed: set[str],
+    ) -> None:
+        """Record an export delta of ``dependency`` pushed to ``dependent``
+        from elsewhere (a cross-shard ``invalidate``): the edge plus the
+        patched export cache, so a later rehydration of ``dependent``
+        re-seeds the current names.  Idempotent."""
+        self.depend(dependent, dependency)
+        exports = self._exports.setdefault(dependency, set())
+        exports |= added
+        exports -= removed
+
     def imports_for(self, name: str) -> set[str]:
         """Union of the cached exports of everything ``name`` depends on."""
         imported: set[str] = set()

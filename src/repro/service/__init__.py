@@ -22,12 +22,15 @@ Layering:
   crash-safe store (atomic publish, verified reads, quarantine) that
   makes restart/eviction recoverable by one incremental pass;
 * :mod:`repro.service.server` -- transports (stdio and TCP), request
-  dispatch, per-request timeouts, the ``repro serve`` entry point;
+  validation and dispatch (:class:`AnalysisService`, the one request
+  path of every backend), per-request timeouts, the ``repro serve``
+  entry point;
 * :mod:`repro.service.pool` / :mod:`repro.service.worker` -- the
   multi-core backend (``repro serve --workers N``): a dispatcher that
-  routes documents to N worker subprocesses by consistent hashing,
-  respawns dead workers (sessions rehydrate from the shared snapshot
-  store), and merges per-worker stats.
+  only routes documents to N worker subprocesses (each one a
+  ``repro serve``) by consistent hashing, respawns dead workers
+  (sessions rehydrate from the shared snapshot store), and merges
+  per-worker stats.
 
 Everything observable is exported through :mod:`repro.obs`
 (``service.*`` counters and gauges, ``service.batch`` spans) and

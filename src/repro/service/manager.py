@@ -58,14 +58,12 @@ class SessionManager:
         max_sessions: int = 32,
         max_resident_nodes: int = 2_000_000,
         queue_limit: int = 64,
-        debounce: float = 0.0,
         default_engine: str = "iglr",
         store: SnapshotStore | None = None,
     ) -> None:
         self.max_sessions = max_sessions
         self.max_resident_nodes = max_resident_nodes
         self.queue_limit = queue_limit
-        self.debounce = debounce
         self.default_engine = default_engine
         self.store = store
         # Insertion order == recency order: move_to_end on every touch.
@@ -150,7 +148,6 @@ class SessionManager:
             engine=engine or self.default_engine,
             balanced=balanced,
             queue_limit=self.queue_limit,
-            debounce=self.debounce,
             on_flush=self._after_flush,
             on_persist=self._persist_session if self.store else None,
             on_exports=self._exports_changed,
@@ -334,7 +331,6 @@ class SessionManager:
             engine=snapshot.engine,
             balanced=snapshot.balanced,
             queue_limit=self.queue_limit,
-            debounce=self.debounce,
             on_flush=self._after_flush,
             on_persist=self._persist_session,
             on_exports=self._exports_changed,
@@ -463,7 +459,6 @@ class SessionManager:
                 "max_sessions": self.max_sessions,
                 "max_resident_nodes": self.max_resident_nodes,
                 "queue_limit": self.queue_limit,
-                "debounce_seconds": self.debounce,
             },
             "resident_nodes": self.resident_nodes(),
             "project": self.project.stats(),

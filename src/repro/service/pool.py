@@ -8,14 +8,17 @@ parallel across documents), which makes the scaling move mechanical:
 run N copies of the service and route each document to exactly one of
 them.
 
-:class:`ShardDispatcher` is that router.  It speaks the *same* JSON
--lines protocol as the in-process service -- ``handle(request) ->
-reply`` -- so every transport, bench, and differential suite runs
-unchanged against it:
+:class:`ShardDispatcher` is that router, and only a router.  It speaks
+the same JSON-lines protocol as the in-process service -- ``handle
+(request) -> reply`` -- but validates nothing: a request goes to the
+worker owning its ``doc`` (shard 0 when there is no usable ``doc``),
+whose ``AnalysisService`` checks it and writes the reply, error
+replies included.  Both backends therefore run one request path, and
+every transport, bench, and differential suite runs unchanged:
 
-* **workers** are subprocesses running :mod:`repro.service.worker`
-  (a plain ``AnalysisService`` on a stdio pipe transport), each with its
-  own event loop, session pool, and degradation ladder;
+* **workers** are subprocesses running ``repro serve``
+  (:mod:`repro.service.worker`) on stdio pipes, each with its own event
+  loop, session pool, and degradation ladder;
 * **routing** is rendezvous (highest-random-weight) hashing on the
   document id: ``shard_for(doc, N)`` is deterministic, uniform, and
   *consistent* -- resizing from N to N+1 workers remaps only ~1/(N+1)
@@ -29,12 +32,15 @@ unchanged against it:
   session itself is durable), folds the worker's last-known counters
   into a retired total so aggregate stats never move backwards, and
   respawns the shard.  The next request for one of its documents
-  rehydrates from the shared snapshot store -- the PR-5 persistence
-  layer makes a worker crash cost one warm recovery, not a lost pool;
-* **fan-out ops**: ``stats`` queries every worker and merges the
-  counter dicts (plus the retired totals of dead worker lives);
-  ``shutdown`` broadcasts so every shard snapshots its sessions before
-  exiting; ``ping`` is answered locally.
+  rehydrates from the shared snapshot store -- a worker crash costs one
+  warm recovery, not a lost pool;
+* **what routing by ``doc`` cannot do** is the dispatcher's own work:
+  it answers ``ping``; fans ``stats`` and the language form of
+  ``reload_grammar`` out to every worker and merges the replies;
+  broadcasts ``shutdown`` so every shard snapshots before exiting;
+  pre-seeds a cross-shard ``depends`` with the dependency's exports;
+  and forwards each ``exports_changed`` delta to the dependents on
+  other shards.
 
 Residency limits (``max_sessions``, ``max_resident_nodes``, queue
 bounds) apply *per shard*: the flags keep their single-process meaning
@@ -60,21 +66,8 @@ from pathlib import Path
 
 from .. import obs
 from ..testing.faults import CRASH_ENV
-from .protocol import (
-    E_PROTOCOL,
-    E_TIMEOUT,
-    E_UNKNOWN_OP,
-    E_WORKER,
-    encode,
-    error_reply,
-    ok_reply,
-)
-from .server import SESSION_OPS, ServiceTransport
-
-# Ops the dispatcher understands at all; anything else is unknown-op
-# locally (no round trip to a worker that would say the same thing).
-_LOCAL_OPS = {"ping", "stats", "shutdown"}
-_ALL_OPS = _LOCAL_OPS | {"open", "reload_grammar"} | SESSION_OPS
+from .protocol import E_TIMEOUT, E_WORKER, encode, error_reply, ok_reply
+from .server import ServiceTransport
 
 # Extra seconds past the worker's own request timeout before the
 # dispatcher gives up on a reply (the worker answers its own timeouts;
@@ -145,12 +138,10 @@ class ShardDispatcher(ServiceTransport):
         max_sessions: int = 32,
         max_resident_nodes: int = 2_000_000,
         queue_limit: int = 64,
-        debounce: float = 0.0,
         request_timeout: float = 30.0,
         state_dir: str | os.PathLike | None = None,
         worker_env: dict[str, str] | None = None,
         fault_env: dict[int, dict[str, str]] | None = None,
-        respawn: bool = True,
     ) -> None:
         if workers < 1:
             raise ValueError("need at least one worker")
@@ -158,12 +149,17 @@ class ShardDispatcher(ServiceTransport):
         self.max_sessions = max_sessions
         self.max_resident_nodes = max_resident_nodes
         self.queue_limit = queue_limit
-        self.debounce = debounce
         self.request_timeout = request_timeout
+        # How long the dispatcher waits for a forwarded reply (None:
+        # forever, when the workers themselves run without a deadline).
+        self._deadline = (
+            request_timeout + _TIMEOUT_GRACE
+            if request_timeout and request_timeout > 0
+            else None
+        )
         self.state_dir = os.fspath(state_dir) if state_dir else None
         self.worker_env = dict(worker_env or {})
         self.fault_env = {k: dict(v) for k, v in (fault_env or {}).items()}
-        self.respawn = respawn
         self.requests = 0
         self.timeouts = 0
         self.counts = {
@@ -204,16 +200,12 @@ class ShardDispatcher(ServiceTransport):
             sys.executable,
             "-m",
             "repro.service.worker",
-            "--shards",
-            str(self.workers),
             "--max-sessions",
             str(self.max_sessions),
             "--max-nodes",
             str(self.max_resident_nodes),
             "--queue-limit",
             str(self.queue_limit),
-            "--debounce-ms",
-            str(self.debounce * 1e3),
             "--timeout",
             str(self.request_timeout or 0.0),
         ]
@@ -226,6 +218,9 @@ class ShardDispatcher(ServiceTransport):
         # An armed kill must fire once per shard slot, not once per
         # life: a respawn that re-armed the same SIGKILL would loop.
         env.pop(CRASH_ENV, None)
+        # Workers run `repro serve`, which would fall back to this;
+        # the dispatcher's own state_dir (passed as a flag) must win.
+        env.pop("REPRO_STATE_DIR", None)
         env["PYTHONPATH"] = str(_SRC_ROOT) + (
             os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
         )
@@ -237,8 +232,6 @@ class ShardDispatcher(ServiceTransport):
     async def _spawn(self, handle: _Worker) -> None:
         handle.proc = await asyncio.create_subprocess_exec(
             *self._worker_command(),
-            "--shard",
-            str(handle.index),
             stdin=asyncio.subprocess.PIPE,
             stdout=asyncio.subprocess.PIPE,
             env=self._worker_environment(handle),
@@ -279,7 +272,7 @@ class ShardDispatcher(ServiceTransport):
             f"(rc={returncode}); respawning",
         )
         self._retire_worker(handle)
-        if self._closing or self._stopping.is_set() or not self.respawn:
+        if self._closing or self._stopping.is_set():
             return
         handle.generation += 1
         self.counts["worker_restarts"] += 1
@@ -365,6 +358,7 @@ class ShardDispatcher(ServiceTransport):
         obs.incr("shard.requests")
         rid = request.get("id")
         op = request.get("op")
+        doc = request.get("doc")
         if op == "ping":
             return ok_reply(rid, pong=True, workers=self.workers)
         if op == "shutdown":
@@ -372,62 +366,46 @@ class ShardDispatcher(ServiceTransport):
             return ok_reply(rid, stopping=True)
         if op == "stats":
             return await self._merged_stats(rid)
-        if op not in _ALL_OPS:
-            return error_reply(rid, E_UNKNOWN_OP, f"unknown op {op!r}")
-        if op == "reload_grammar" and not request.get("doc"):
-            # Language-form reload is a broadcast: every worker holds
-            # its own override map and its own slice of the session
-            # pool, so all of them must recompile.  (The doc form falls
-            # through to ordinary single-shard routing below.)
+        if op == "reload_grammar" and doc is None:
+            # Language-form reload: every worker holds its own override
+            # map and its own slice of the session pool, so all of them
+            # must recompile.
             return await self._broadcast_reload(rid, request)
-        doc = request.get("doc")
-        if not isinstance(doc, str) or not doc:
-            return error_reply(
-                rid, E_PROTOCOL, f"{op} needs a non-empty string 'doc'"
-            )
-        shard = shard_for(doc, self.workers)
-        handle = self._handles[shard]
+        # Everything else has one owner.  Without a usable doc there is
+        # none, and shard 0's service writes the error reply.
+        routable = isinstance(doc, str) and bool(doc)
+        shard = shard_for(doc, self.workers) if routable else 0
         self.counts["routed"] += 1
-        if op == "depends":
-            return await self._handle_depends(handle, doc, request)
-        reply = await self._forward(handle, request)
+        if op == "depends" and routable:
+            request = await self._seed_depends(shard, request)
+        reply = await self._forward(self._handles[shard], request)
+        if op == "depends" and reply.get("ok"):
+            self._rdeps.setdefault(request["on"], set()).add(doc)
         await self._propagate_exports(reply, shard)
         return reply
 
     # -- cross-shard semantics ------------------------------------------------
 
-    async def _handle_depends(
-        self, handle: _Worker, doc: str, request: dict
-    ) -> dict:
-        """Route a dependency registration, seeding exports across shards.
+    async def _seed_depends(self, shard: int, request: dict) -> dict:
+        """Pre-seed a cross-shard ``depends`` with the dependency's exports.
 
-        When the dependency lives on another shard, its exports are
-        fetched from the owning worker first and passed along as a
+        When the dependency ``on`` lives on another shard, its exports
+        are fetched from the owning worker first and passed along as a
         ``seed`` -- the dependent's worker must never open or rehydrate
         a document it does not own (single writer per shard).
         """
         on = request.get("on")
-        if not isinstance(on, str) or not on:
-            return error_reply(
-                request.get("id"),
-                E_PROTOCOL,
-                "depends needs a non-empty string 'on'",
-            )
-        payload = dict(request)
-        source_shard = shard_for(on, self.workers)
-        if source_shard != handle.index and "seed" not in payload:
-            head_reply = await self._forward(
-                self._handles[source_shard],
-                {"op": "analyze", "doc": on, "id": None},
-            )
-            seed = head_reply.get("exports") if head_reply.get("ok") else None
-            payload["seed"] = seed or []
-            await self._propagate_exports(head_reply, source_shard)
-        reply = await self._forward(handle, payload)
-        if reply.get("ok"):
-            self._rdeps.setdefault(on, set()).add(doc)
-        await self._propagate_exports(reply, handle.index)
-        return reply
+        if request.get("seed") is not None or not isinstance(on, str):
+            return request
+        source = shard_for(on, self.workers)
+        if source == shard:
+            return request
+        head = await self._forward(
+            self._handles[source], {"op": "analyze", "doc": on, "id": None}
+        )
+        await self._propagate_exports(head, source)
+        seed = head.get("exports") if head.get("ok") else None
+        return dict(request, seed=seed or [])
 
     async def _propagate_exports(self, reply: dict, source_shard: int) -> None:
         """Fan a reply's ``exports_changed`` delta out across shards.
@@ -436,9 +414,11 @@ class ShardDispatcher(ServiceTransport):
         triggering reply reaches the client, every dependent shard has
         queued its re-decision).  Dependents co-sharded with the source
         are skipped -- the owning worker's manager already reached them
-        in-process.
+        in-process.  Each forwarded ``invalidate`` names its source in
+        ``on``, so the dependent's worker records the delta in its
+        project graph and a later rehydration re-seeds current names.
         """
-        changed = reply.get("exports_changed") if isinstance(reply, dict) else None
+        changed = reply.get("exports_changed")
         if not changed:
             return
         doc = changed.get("doc")
@@ -465,6 +445,7 @@ class ShardDispatcher(ServiceTransport):
                     {
                         "op": "invalidate",
                         "doc": dependent,
+                        "on": doc,
                         "id": None,
                         "added": added,
                         "removed": removed,
@@ -472,75 +453,7 @@ class ShardDispatcher(ServiceTransport):
                 )
                 await self._propagate_exports(sub_reply, dependent_shard)
 
-    async def _broadcast_reload(self, rid: object, request: dict) -> dict:
-        """Fan a language-form ``reload_grammar`` out to every shard.
-
-        Each worker recompiles independently (shared table cache makes
-        N-1 of those compiles disk hits), re-parses its own sessions,
-        and reports what it reloaded; the merged reply unions the
-        session lists.  Post-all-then-await, like the stats fan-out,
-        so a reload pipelined after session ops lands after them on
-        every shard.
-        """
-        payload = dict(request)
-        payload["id"] = None
-        posted = [
-            (handle, self._post(handle, payload))
-            for handle in self._handles
-        ]
-        if not self.request_timeout or self.request_timeout <= 0:
-            timeout = None
-        else:
-            timeout = self.request_timeout + _TIMEOUT_GRACE
-        merged: dict | None = None
-        first_error: dict | None = None
-        reloaded: list[str] = []
-        invalidated = False
-        errors: list[str] = []
-        for handle, (iid, future, error) in posted:
-            reply = error
-            if future is not None:
-                try:
-                    if timeout is None:
-                        reply = await future
-                    else:
-                        reply = await asyncio.wait_for(future, timeout)
-                except asyncio.TimeoutError:
-                    handle.pending.pop(iid, None)
-                    self.timeouts += 1
-                    obs.incr("shard.timeouts")
-                    reply = error_reply(
-                        rid,
-                        E_TIMEOUT,
-                        f"no reload reply from shard {handle.index}",
-                        pending=True,
-                    )
-            if reply and reply.get("ok"):
-                if merged is None:
-                    merged = reply
-                reloaded.extend(reply.get("sessions_reloaded") or [])
-                invalidated = invalidated or bool(reply.get("invalidated"))
-            else:
-                if first_error is None and reply is not None:
-                    first_error = reply
-                detail = (reply or {}).get("message", "no reply")
-                errors.append(f"shard {handle.index}: {detail}")
-        if merged is None:
-            # Every shard failed identically (e.g. the grammar does not
-            # compile); surface the first error verbatim.
-            if first_error is not None:
-                first_error["id"] = rid
-                return first_error
-            return error_reply(rid, E_WORKER, "reload failed")
-        return ok_reply(
-            rid,
-            language=merged.get("language"),
-            table_key=merged.get("table_key"),
-            old_table_key=merged.get("old_table_key"),
-            invalidated=invalidated,
-            sessions_reloaded=sorted(reloaded),
-            **({"partial": errors} if errors else {}),
-        )
+    # -- forwarding -----------------------------------------------------------
 
     def _post(
         self, handle: _Worker, request: dict
@@ -579,26 +492,19 @@ class ShardDispatcher(ServiceTransport):
             )
         return iid, future, None
 
-    async def _forward(
-        self, handle: _Worker, request: dict, *, timeout: float | None = None
+    async def _await(
+        self,
+        handle: _Worker,
+        posted: tuple[int, asyncio.Future | None, dict | None],
+        rid: object,
+        timeout: float | None,
     ) -> dict:
-        rid = request.get("id")
-        iid, future, error = self._post(handle, request)
+        """The reply to one posted request, or a ``timeout`` error reply
+        after ``timeout`` seconds (None: wait for the worker)."""
+        iid, future, error = posted
         if error is not None:
             return error
-        try:
-            await handle.proc.stdin.drain()
-        except (ConnectionError, OSError, RuntimeError):
-            pass  # exit/respawn handling resolves the pending future
-        deferred = request.get("op") == "edit" and bool(request.get("defer"))
         if timeout is None:
-            if not self.request_timeout or self.request_timeout <= 0:
-                timeout = 0.0
-            else:
-                timeout = self.request_timeout + _TIMEOUT_GRACE
-        if deferred or timeout <= 0:
-            # The worker applies its own per-request deadline; a
-            # deferred edit legitimately waits for its flush trigger.
             return await future
         try:
             return await asyncio.wait_for(future, timeout)
@@ -614,35 +520,91 @@ class ShardDispatcher(ServiceTransport):
                 pending=True,
             )
 
+    async def _forward(self, handle: _Worker, request: dict) -> dict:
+        posted = self._post(handle, request)
+        _, future, _ = posted
+        if future is not None:
+            try:
+                await handle.proc.stdin.drain()
+            except (ConnectionError, OSError, RuntimeError):
+                pass  # exit/respawn handling resolves the pending future
+        # The worker applies its own per-request deadline; a deferred
+        # edit legitimately waits for its flush trigger.
+        deferred = request.get("op") == "edit" and bool(request.get("defer"))
+        return await self._await(
+            handle,
+            posted,
+            request.get("id"),
+            None if deferred else self._deadline,
+        )
+
+    async def _fan_out(
+        self, request: dict, timeout: float | None
+    ) -> list[tuple[_Worker, dict]]:
+        """Send ``request`` to every worker; ``(worker, reply)`` pairs.
+
+        Every post happens before any await: the writes land on each
+        pipe in program order, so a fan-out pipelined after session ops
+        is answered after them on every shard -- and a concurrent
+        shutdown cannot close a pipe between two posts.
+        """
+        rid = request.get("id")
+        posted = [
+            (handle, self._post(handle, request)) for handle in self._handles
+        ]
+        return [
+            (handle, await self._await(handle, item, rid, timeout))
+            for handle, item in posted
+        ]
+
+    async def _broadcast_reload(self, rid: object, request: dict) -> dict:
+        """Fan a language-form ``reload_grammar`` out to every shard.
+
+        Each worker recompiles independently (shared table cache makes
+        N-1 of those compiles disk hits), re-parses its own sessions,
+        and reports what it reloaded; the merged reply unions the
+        session lists and notes failed shards under ``partial``.
+        """
+        replies = await self._fan_out(request, self._deadline)
+        ok = [reply for _, reply in replies if reply.get("ok")]
+        if not ok:
+            # Every shard failed alike (e.g. the grammar does not
+            # compile, or the request is malformed): answer as one would.
+            return replies[0][1]
+        errors = [
+            f"shard {handle.index}: {reply['error']['message']}"
+            for handle, reply in replies
+            if not reply.get("ok")
+        ]
+        return ok_reply(
+            rid,
+            language=ok[0].get("language"),
+            table_key=ok[0].get("table_key"),
+            old_table_key=ok[0].get("old_table_key"),
+            invalidated=any(reply.get("invalidated") for reply in ok),
+            sessions_reloaded=sorted(
+                name for reply in ok for name in reply["sessions_reloaded"]
+            ),
+            **({"partial": errors} if errors else {}),
+        )
+
     # -- stats fan-out --------------------------------------------------------
 
     async def _merged_stats(self, rid: object) -> dict:
-        # Post every scrape before awaiting any reply: the writes land
-        # on each pipe in program order, so a stats request pipelined
-        # after session ops is answered after them on every shard --
-        # and a concurrent shutdown cannot close a pipe between two
-        # sequential scrapes.
-        posted = [
-            (handle, self._post(handle, {"op": "stats", "id": None}))
-            for handle in self._handles
-        ]
         per_worker: list[dict] = []
-        for handle, (iid, future, error) in posted:
-            reply = error
-            if future is not None:
-                try:
-                    reply = await asyncio.wait_for(future, _STATS_TIMEOUT)
-                except asyncio.TimeoutError:
-                    handle.pending.pop(iid, None)
-                    reply = None
-            if reply and reply.get("ok"):
+        for handle, reply in await self._fan_out(
+            {"op": "stats", "id": rid}, _STATS_TIMEOUT
+        ):
+            if reply.get("ok"):
                 stats = reply["stats"]
+                stats["worker"] = {
+                    "shard": handle.index,
+                    "pid": handle.proc.pid,
+                }
                 handle.last_stats = stats
                 per_worker.append(stats)
             elif handle.last_stats is not None:
-                stale = dict(handle.last_stats)
-                stale["stale"] = True
-                per_worker.append(stale)
+                per_worker.append(dict(handle.last_stats, stale=True))
         merged: dict[str, int] = dict(self._retired_counters)
         table_cache: dict[str, int] = {}
         sessions: dict[str, dict] = {}

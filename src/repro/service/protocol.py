@@ -16,7 +16,7 @@ Requests::
     {"op": "query", "id": 4, "doc": "a.calc"}
     {"op": "analyze", "id": 5, "doc": "a.minic"}
     {"op": "depends", "id": 6, "doc": "a.minic", "on": "types.minic"}
-    {"op": "invalidate", "id": 7, "doc": "a.minic",
+    {"op": "invalidate", "id": 7, "doc": "a.minic", "on": "types.minic",
      "added": ["Temp"], "removed": []}
     {"op": "snapshot", "id": 8, "doc": "a.calc"}
     {"op": "close", "id": 9, "doc": "a.calc"}
@@ -39,7 +39,11 @@ this to keep each session single-writer).  After that, an edit in
 ``on`` whose exports change makes the service push an ``invalidate``
 delta into each dependent, re-deciding only the choice points that
 consulted the changed names; ``invalidate`` is also accepted directly
-from clients driving their own project graph.
+from clients driving their own project graph.  An ``invalidate`` whose
+optional ``on`` names the source document is recorded in the project
+graph as well (the sharded dispatcher always sets it), so the delta
+survives eviction and rehydration of ``doc``; without ``on`` it
+reaches only the live analysis.
 
 **Grammar hot-reload.**  ``reload_grammar`` recompiles a grammar
 without restarting the service, with compile-first semantics: a source

@@ -18,9 +18,11 @@ the analysis is in.
 
 ``repro serve --workers N`` (N > 1) serves the same protocol through
 the multi-process :class:`~repro.service.pool.ShardDispatcher` instead:
-N copies of this service in worker subprocesses, one shard per
-document, one core each.  The transports are shared via
-:class:`ServiceTransport` so the two backends are interchangeable.
+N worker subprocesses that each run ``repro serve``, one shard per
+document, one core each.  The dispatcher only routes: every request is
+validated and answered by an :class:`AnalysisService` in some worker,
+so both backends share one request path (and, via
+:class:`ServiceTransport`, the same transports).
 """
 
 from __future__ import annotations
@@ -49,8 +51,14 @@ from .protocol import (
     error_reply,
     ok_reply,
 )
+from .session import Session
 
-SESSION_OPS = {
+# Every op the service answers, in the order of docs/SERVICE.md's op
+# table (a test keeps the two equal).  This is the one list for both
+# backends: the shard dispatcher hands whatever it does not answer
+# itself to a worker's AnalysisService.
+OPS = (
+    "open",
     "edit",
     "parse",
     "query",
@@ -59,7 +67,35 @@ SESSION_OPS = {
     "invalidate",
     "snapshot",
     "close",
-}
+    "reload_grammar",
+    "stats",
+    "ping",
+    "shutdown",
+)
+
+
+class _Refused(Exception):
+    """A well-formed request the service answers with an error ``code``."""
+
+    def __init__(self, code: str, message: str) -> None:
+        super().__init__(message)
+        self.code = code
+
+
+def _doc_name(request: dict, op: str, key: str = "doc") -> str:
+    name = request.get(key)
+    if not isinstance(name, str) or not name:
+        raise ProtocolError(f"{op} needs a non-empty string {key!r}")
+    return name
+
+
+def _names(request: dict, key: str) -> set[str]:
+    names = request.get(key, [])
+    if not isinstance(names, list) or any(
+        not isinstance(item, str) for item in names
+    ):
+        raise ProtocolError(f"{key!r} must be a list of strings")
+    return set(names)
 
 
 class ServiceTransport:
@@ -210,7 +246,11 @@ class ServiceTransport:
 
 
 class AnalysisService(ServiceTransport):
-    """Protocol-level front end over a :class:`SessionManager`."""
+    """Protocol-level front end over a :class:`SessionManager`.
+
+    The only code that validates and dispatches a request, for both
+    backends: a sharded server runs one of these per worker process.
+    """
 
     def __init__(
         self,
@@ -218,7 +258,6 @@ class AnalysisService(ServiceTransport):
         max_sessions: int = 32,
         max_resident_nodes: int = 2_000_000,
         queue_limit: int = 64,
-        debounce: float = 0.0,
         request_timeout: float = 30.0,
         state_dir: str | os.PathLike | None = None,
     ) -> None:
@@ -227,7 +266,6 @@ class AnalysisService(ServiceTransport):
             max_sessions=max_sessions,
             max_resident_nodes=max_resident_nodes,
             queue_limit=queue_limit,
-            debounce=debounce,
             store=self.store,
         )
         self.request_timeout = request_timeout
@@ -243,6 +281,8 @@ class AnalysisService(ServiceTransport):
         obs.incr("service.requests")
         rid = request.get("id")
         op = request.get("op")
+        if op not in OPS:
+            return error_reply(rid, E_UNKNOWN_OP, f"unknown op {op!r}")
         try:
             if op == "ping":
                 return ok_reply(rid, pong=True)
@@ -259,23 +299,47 @@ class AnalysisService(ServiceTransport):
                 return await self._handle_open(rid, request)
             if op == "reload_grammar":
                 return await self._handle_reload(rid, request)
-            if op in SESSION_OPS:
-                return await self._handle_session_op(rid, op, request)
-            return error_reply(
-                rid, E_UNKNOWN_OP, f"unknown op {op!r}"
-            )
+            if op == "depends":
+                return await self._handle_depends(rid, request)
+            return await self._handle_session_op(rid, op, request)
         except ProtocolError as error:
             return error_reply(rid, E_PROTOCOL, str(error))
+        except _Refused as error:
+            return error_reply(rid, error.code, str(error))
+
+    def _session(self, name: str) -> tuple[Session, bool]:
+        """The named session, and whether it had to be rehydrated.
+
+        An unknown name may be an evicted (or pre-restart) session with
+        a durable snapshot: it is resurrected lazily and the request
+        proceeds as if nothing happened.  Raises :class:`_Refused`
+        (``no-session`` or ``capacity``) otherwise.
+        """
+        try:
+            return self.manager.get(name), False
+        except KeyError:
+            pass
+        try:
+            session = self.manager.rehydrate(name)
+        except CapacityError as error:
+            raise _Refused(E_CAPACITY, str(error)) from None
+        except Exception as error:
+            raise _Refused(
+                E_NO_SESSION, f"session {name!r} failed to rehydrate: {error}"
+            ) from None
+        if session is None:
+            raise _Refused(
+                E_NO_SESSION,
+                f"no session {name!r} (never opened, closed, or evicted"
+                " without a snapshot)",
+            )
+        return session, True
 
     async def _handle_open(self, rid: object, request: dict) -> dict:
-        name = request.get("doc")
-        if not isinstance(name, str) or not name:
-            raise ProtocolError("open needs a non-empty string 'doc'")
+        name = _doc_name(request, "open")
         text = request.get("text", "")
         if not isinstance(text, str):
             raise ProtocolError("'text' must be a string")
-        language = request.get("language")
-        grammar = request.get("grammar")
         if name in self.manager:
             return error_reply(
                 rid, E_EXISTS, f"session {name!r} already open"
@@ -283,8 +347,8 @@ class AnalysisService(ServiceTransport):
         try:
             session = self.manager.open(
                 name,
-                language=language,
-                grammar=grammar,
+                language=request.get("language"),
+                grammar=request.get("grammar"),
                 engine=request.get("engine"),
                 balanced=bool(request.get("balanced", True)),
             )
@@ -315,47 +379,29 @@ class AnalysisService(ServiceTransport):
                 "reload_grammar needs a non-empty string 'grammar'"
             )
         lang_name = request.get("language")
-        doc_name = request.get("doc")
-        if (lang_name is None) == (doc_name is None):
+        if (lang_name is None) == (request.get("doc") is None):
             raise ProtocolError(
                 "reload_grammar needs exactly one of 'language' or 'doc'"
             )
-
-        if doc_name is not None:
-            if not isinstance(doc_name, str) or not doc_name:
-                raise ProtocolError("'doc' must be a non-empty string")
-            try:
-                new_lang = Language.from_dsl(source)
-            except Exception as error:
-                raise ProtocolError(
-                    f"grammar does not compile: {error}"
-                ) from None
-            try:
-                session = self.manager.get(doc_name)
-            except KeyError:
-                try:
-                    session = self.manager.rehydrate(doc_name)
-                except Exception:
-                    session = None
-                if session is None:
-                    return error_reply(
-                        rid, E_NO_SESSION, f"no session {doc_name!r}"
-                    )
-            future = session.submit_reload(
-                rid, new_lang, grammar_source=source
-            )
-            return await self._await_reply(future, rid)
-
-        if not isinstance(lang_name, str) or not lang_name:
+        if lang_name is None:
+            name = _doc_name(request, "reload_grammar")
+        elif not isinstance(lang_name, str) or not lang_name:
             raise ProtocolError("'language' must be a non-empty string")
+        label = None if lang_name is None else f"reload:{lang_name}"
         try:
-            new_lang = Language.from_dsl(
-                source, label=f"reload:{lang_name}"
-            )
+            new_lang = Language.from_dsl(source, label=label)
         except Exception as error:
             raise ProtocolError(
                 f"grammar does not compile: {error}"
             ) from None
+
+        if lang_name is None:
+            session, rehydrated = self._session(name)
+            future = session.submit_reload(
+                rid, new_lang, grammar_source=source
+            )
+            return self._tag(await self._await_reply(future, rid), rehydrated)
+
         new_key = grammar_fingerprint(
             new_lang.grammar, new_lang.table.method, True
         )
@@ -398,75 +444,47 @@ class AnalysisService(ServiceTransport):
     async def _handle_session_op(
         self, rid: object, op: str, request: dict
     ) -> dict:
-        name = request.get("doc")
-        if not isinstance(name, str):
-            raise ProtocolError(f"{op} needs a string 'doc'")
-        rehydrated = False
-        try:
-            session = self.manager.get(name)
-        except KeyError:
-            # Unknown name: maybe an evicted (or pre-restart) session
-            # with a durable snapshot -- resurrect it lazily and let the
-            # request proceed as if nothing happened.
-            try:
-                session = self.manager.rehydrate(name)
-            except CapacityError as error:
-                return error_reply(rid, E_CAPACITY, str(error))
-            except Exception as error:
-                return error_reply(
-                    rid,
-                    E_NO_SESSION,
-                    f"session {name!r} failed to rehydrate: {error}",
-                )
-            if session is None:
-                return error_reply(
-                    rid,
-                    E_NO_SESSION,
-                    f"no session {name!r} (never opened, closed, or evicted"
-                    " without a snapshot)",
-                )
-            rehydrated = True
-        echo = bool(request.get("echo_text"))
+        name = _doc_name(request, op)
         if op == "edit":
             raw = request.get("edits")
             if not isinstance(raw, list) or not raw:
                 raise ProtocolError("edit needs a non-empty 'edits' list")
             specs = [EditSpec.from_json(item) for item in raw]
+        elif op == "invalidate":
+            added = _names(request, "added")
+            removed = _names(request, "removed")
+            on = None
+            if request.get("on") is not None:
+                on = _doc_name(request, op, "on")
+                if on == name:
+                    raise ProtocolError("a document cannot depend on itself")
+        session, rehydrated = self._session(name)
+        echo = bool(request.get("echo_text"))
+        defer = op == "edit" and bool(request.get("defer"))
+        if op == "edit":
             future = session.submit_edits(
-                rid, specs, defer=bool(request.get("defer")), echo_text=echo
-            )
-            if request.get("defer"):
-                # Deferred edits are answered at the next flush; do not
-                # start the timeout clock on an intentionally open batch.
-                reply = await future
-                return self._tag(reply, rehydrated)
-        elif op == "depends":
-            return self._tag(
-                await self._handle_depends(rid, session, request), rehydrated
+                rid, specs, defer=defer, echo_text=echo
             )
         elif op == "invalidate":
-            added = request.get("added", [])
-            removed = request.get("removed", [])
-            for names in (added, removed):
-                if not isinstance(names, list) or any(
-                    not isinstance(n, str) for n in names
-                ):
-                    raise ProtocolError(
-                        "invalidate needs 'added'/'removed' string lists"
-                    )
-            future = session.submit_invalidate(rid, set(added), set(removed))
+            if on is not None:
+                # The delta names a source document: record it in the
+                # project graph too, so a rehydration of this session
+                # re-seeds the current names instead of stale ones.
+                self.manager.project.record_delta(name, on, added, removed)
+            future = session.submit_invalidate(rid, added, removed)
         else:
             future = session.submit_op(op, rid, echo_text=echo)
-            if op == "close":
-                reply = await self._await_reply(future, rid)
-                self.manager.close(name)
-                return self._tag(reply, rehydrated)
-        reply = await self._await_reply(future, rid)
+        if defer:
+            # Deferred edits are answered at the next flush; do not
+            # start the timeout clock on an intentionally open batch.
+            reply = await future
+        else:
+            reply = await self._await_reply(future, rid)
+        if op == "close":
+            self.manager.close(name)
         return self._tag(reply, rehydrated)
 
-    async def _handle_depends(
-        self, rid: object, session, request: dict
-    ) -> dict:
+    async def _handle_depends(self, rid: object, request: dict) -> dict:
         """Register ``doc`` importing type names from another document.
 
         Without a ``seed``, the dependency is resolved (or rehydrated)
@@ -476,46 +494,35 @@ class AnalysisService(ServiceTransport):
         -- this process must then leave that document alone (single
         writer per shard).
         """
-        on = request.get("on")
-        if not isinstance(on, str) or not on:
-            raise ProtocolError("depends needs a non-empty string 'on'")
-        if on == session.name:
+        name = _doc_name(request, "depends")
+        on = _doc_name(request, "depends", "on")
+        if on == name:
             raise ProtocolError("a document cannot depend on itself")
-        seed = request.get("seed")
-        if seed is not None and (
-            not isinstance(seed, list)
-            or any(not isinstance(item, str) for item in seed)
-        ):
-            raise ProtocolError("'seed' must be a list of strings")
-        if seed is None:
+        seed = None
+        if request.get("seed") is not None:
+            seed = _names(request, "seed")
+        else:
             try:
-                header = self.manager.get(on)
-            except KeyError:
-                try:
-                    header = self.manager.rehydrate(on)
-                except Exception:
-                    header = None
-            if header is not None:
+                header, _ = self._session(on)
+            except _Refused:
+                pass  # unknown dependency: nothing to cache yet
+            else:
                 # Populate the export cache (via the manager's exports
                 # hook); a failed analysis just leaves it empty until
                 # the dependency's next successful analysis.
                 await self._await_reply(
                     header.submit_op("analyze", None), None
                 )
-        try:
-            self.manager.add_dependency(
-                session.name, on, seed=None if seed is None else set(seed)
-            )
-        except ValueError as error:
-            raise ProtocolError(str(error)) from None
+        session, rehydrated = self._session(name)
+        self.manager.add_dependency(name, on, seed=seed)
         reply = await self._await_reply(
             session.submit_op("analyze", rid), rid
         )
         reply.setdefault(
             "depends_on",
-            sorted(self.manager.project.dependencies_of(session.name)),
+            sorted(self.manager.project.dependencies_of(name)),
         )
-        return reply
+        return self._tag(reply, rehydrated)
 
     @staticmethod
     def _tag(reply: dict, rehydrated: bool) -> dict:
@@ -555,26 +562,21 @@ def serve(args) -> int:
 
     ``--workers N`` with N > 1 swaps the in-process backend for the
     multi-core :class:`~repro.service.pool.ShardDispatcher`: N worker
-    subprocesses, documents routed by consistent hashing, the same
-    protocol on the same transports.  Residency/queue limits then apply
-    per worker shard.
+    subprocesses, each itself a ``repro serve``, documents routed by
+    consistent hashing, the same protocol on the same transports.
+    Residency/queue limits then apply per worker shard.
     """
-    state_dir = getattr(args, "state_dir", None) or os.environ.get(
-        "REPRO_STATE_DIR"
-    )
-    workers = getattr(args, "workers", 1) or 1
     kwargs = dict(
         max_sessions=args.max_sessions,
         max_resident_nodes=args.max_nodes,
         queue_limit=args.queue_limit,
-        debounce=args.debounce_ms / 1e3,
         request_timeout=args.timeout,
-        state_dir=state_dir,
+        state_dir=args.state_dir or os.environ.get("REPRO_STATE_DIR"),
     )
-    if workers > 1:
+    if args.workers > 1:
         from .pool import ShardDispatcher
 
-        service: ServiceTransport = ShardDispatcher(workers, **kwargs)
+        service: ServiceTransport = ShardDispatcher(args.workers, **kwargs)
     else:
         service = AnalysisService(**kwargs)
     if args.tcp:

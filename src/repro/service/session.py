@@ -15,11 +15,10 @@ Batching and coalescing
 -----------------------
 
 The worker drains greedily: consecutive queued edit requests are merged
-into one batch (optionally waiting ``debounce`` seconds for stragglers,
-and indefinitely for requests marked ``defer``), their specs coalesced
-by the protocol algebra, and the document parsed *once*.  Every request
-in the batch receives the same post-batch reply, so N keystrokes cost
-one incremental parse.
+into one batch (waiting indefinitely after a request marked ``defer``),
+their specs coalesced by the protocol algebra, and the document parsed
+*once*.  Every request in the batch receives the same post-batch reply,
+so N keystrokes cost one incremental parse.
 
 Text authority and the degradation ladder
 -----------------------------------------
@@ -135,7 +134,6 @@ class Session:
         engine: str = "iglr",
         balanced: bool = True,
         queue_limit: int = 64,
-        debounce: float = 0.0,
         on_flush=None,
         on_persist=None,
         on_exports=None,
@@ -149,7 +147,6 @@ class Session:
         # log depth, so per-keystroke parses stay flat as buffers grow
         # (paper 3.4).  Clients can opt out per document.
         self.balanced = balanced
-        self.debounce = debounce
         self.doc: Document | None = None
         self.shadow_text = ""
         self.queue: asyncio.Queue[_Work] = asyncio.Queue(maxsize=queue_limit)
@@ -432,24 +429,16 @@ class Session:
                 try:
                     nxt = self.queue.get_nowait()
                 except asyncio.QueueEmpty:
-                    if batch[-1].defer:
-                        # Parked: every accepted edit is in shadow_text
-                        # and the journal, so the session is snapshot-
-                        # safe (and forcibly evictable) while we wait.
-                        self._parked = True
-                        try:
-                            nxt = await self.queue.get()
-                        finally:
-                            self._parked = False
-                    elif self.debounce > 0:
-                        try:
-                            nxt = await asyncio.wait_for(
-                                self.queue.get(), self.debounce
-                            )
-                        except asyncio.TimeoutError:
-                            return batch, None
-                    else:
+                    if not batch[-1].defer:
                         return batch, None
+                    # Parked: every accepted edit is in shadow_text and
+                    # the journal, so the session is snapshot-safe (and
+                    # forcibly evictable) while we wait.
+                    self._parked = True
+                    try:
+                        nxt = await self.queue.get()
+                    finally:
+                        self._parked = False
                 if nxt.kind == "edits":
                     batch.append(nxt)
                 else:

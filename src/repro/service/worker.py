@@ -1,93 +1,17 @@
 """One shard of the process pool: ``python -m repro.service.worker``.
 
-A worker is nothing exotic -- it is the ordinary single-process
-:class:`~repro.service.server.AnalysisService` speaking the ordinary
-JSON-lines protocol, on the stdio pipes its
-:class:`~repro.service.pool.ShardDispatcher` parent holds.  Everything
-the single-process service earned in PRs 1-5 -- the degradation ladder,
-bounded queues, LRU eviction, write-ahead durable snapshots, lazy
-rehydration -- therefore applies per shard with no new code paths.
-
-The only additions are identity and sharing:
-
-* ``--shard/--shards`` tag this worker's ``stats`` replies so the
-  dispatcher's merged view can attribute counters per shard;
-* ``--state-dir`` points at the *shared* snapshot store.  The
-  dispatcher routes each document to exactly one live worker, and the
-  store's cross-process file locks make even a misrouted double-writer
-  safe, so all shards can share one directory -- which is what lets a
-  respawned (or re-count-rebalanced) worker rehydrate sessions some
-  other process persisted;
-* the parse-table cache (`repro.tables.cache`) is already shared on
-  disk: the first worker to compile a grammar publishes the table, and
-  every other worker warm-starts from it (asserted by the
-  cross-process cache test).
+A worker is ``repro serve`` itself -- the ordinary single-process
+:class:`~repro.service.server.AnalysisService` on the stdio pipes its
+:class:`~repro.service.pool.ShardDispatcher` parent holds, with the
+parent's limits and shared ``--state-dir`` as its flags.  Everything
+the service does (validation, the degradation ladder, bounded queues,
+LRU eviction, durable snapshots, lazy rehydration) therefore applies
+per shard with no second code path.
 """
 
-from __future__ import annotations
-
-import argparse
-import asyncio
-import os
 import sys
 
-from .server import AnalysisService
-
-
-class ShardWorker(AnalysisService):
-    """AnalysisService that stamps its shard identity into stats."""
-
-    def __init__(self, *, shard: int = 0, shards: int = 1, **kwargs) -> None:
-        super().__init__(**kwargs)
-        self.shard = shard
-        self.shards = shards
-
-    async def handle(self, request: dict) -> dict | None:
-        reply = await super().handle(request)
-        if (
-            reply is not None
-            and reply.get("ok")
-            and request.get("op") == "stats"
-        ):
-            reply["stats"]["worker"] = {
-                "shard": self.shard,
-                "shards": self.shards,
-                "pid": os.getpid(),
-            }
-        return reply
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro.service.worker",
-        description="one shard of the repro analysis-service process pool",
-    )
-    parser.add_argument("--shard", type=int, default=0)
-    parser.add_argument("--shards", type=int, default=1)
-    parser.add_argument("--max-sessions", type=int, default=32)
-    parser.add_argument("--max-nodes", type=int, default=2_000_000)
-    parser.add_argument("--queue-limit", type=int, default=64)
-    parser.add_argument("--debounce-ms", type=float, default=0.0)
-    parser.add_argument("--timeout", type=float, default=30.0)
-    parser.add_argument("--state-dir", default=None)
-    return parser
-
-
-def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    service = ShardWorker(
-        shard=args.shard,
-        shards=args.shards,
-        max_sessions=args.max_sessions,
-        max_resident_nodes=args.max_nodes,
-        queue_limit=args.queue_limit,
-        debounce=args.debounce_ms / 1e3,
-        request_timeout=args.timeout,
-        state_dir=args.state_dir or None,
-    )
-    asyncio.run(service.serve_stdio())
-    return 0
-
+from ..cli import main
 
 if __name__ == "__main__":  # pragma: no cover - exercised via subprocess
-    sys.exit(main())
+    sys.exit(main(["serve", *sys.argv[1:]]))

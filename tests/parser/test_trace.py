@@ -7,7 +7,7 @@ from repro.language import Language
 from repro.lexing import Token
 from repro.lexing.tokens import EOS
 from repro.parser import IGLRParser, InputStream
-from repro.parser.trace import Tracer, format_trace
+from repro.obs import Tracer, format_trace
 
 
 def traced_parse(language, text):
@@ -75,7 +75,7 @@ class TestAppendixB:
 
     def test_incremental_trace_shows_subtree_shifts(self):
         from repro import Document
-        from repro.parser.trace import Tracer
+        from repro.obs import Tracer
 
         lang = minic_language()
         doc = Document(lang, "int f() { int a; int b; int c; }")

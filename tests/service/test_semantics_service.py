@@ -237,3 +237,102 @@ def test_cross_shard_invalidation():
             await service.aclose()
 
     asyncio.run(go())
+
+
+@pytest.mark.persistence
+def test_client_invalidate_with_source_survives_eviction(tmp_path):
+    # An ``invalidate`` naming its source document (``on``) is recorded
+    # in the project graph, not just in the live analysis: once the
+    # session is evicted, rehydration re-seeds the pushed names.
+    async def go():
+        service = AnalysisService(
+            max_sessions=2, state_dir=tmp_path / "state"
+        )
+        await _open(service, DEP, DEP_TEXT)
+        reply = await _req(
+            service,
+            {"op": "invalidate", "doc": DEP, "on": HEADER,
+             "added": ["T"], "removed": []},
+        )
+        assert reply["sem_invalidated"] == 1
+
+        await _open(service, "filler0.minic", "int a;\n")
+        await _open(service, "filler1.minic", "int b;\n")
+        assert DEP not in service.manager
+
+        reply = await _req(service, {"op": "analyze", "doc": DEP})
+        assert reply.get("rehydrated") is True
+        assert reply["sem_state"] == DECL
+
+    asyncio.run(go())
+
+
+@pytest.mark.multiproc
+@pytest.mark.persistence
+@pytest.mark.slow
+def test_cross_shard_delta_survives_eviction_and_rehydration(tmp_path):
+    # The two-worker form of test_delta_survives_eviction_and_rehydration:
+    # header and dependent on different shards, fillers squeezing the
+    # dependent's shard.  The dispatcher's forwarded invalidate must
+    # reach the dependent worker's project graph, or the dependent
+    # comes back from its next eviction resolving against the exports
+    # seen at ``depends`` time.
+    async def go():
+        from repro.service.pool import ShardDispatcher, shard_for
+
+        header, dep = "doc0", "doc1"
+        dep_shard = shard_for(dep, 2)
+        assert shard_for(header, 2) != dep_shard
+        fillers = (
+            name
+            for name in (f"filler{i}.minic" for i in range(100))
+            if shard_for(name, 2) == dep_shard
+        )
+        service = ShardDispatcher(
+            2,
+            max_sessions=2,
+            request_timeout=60.0,
+            state_dir=tmp_path / "state",
+        )
+
+        async def evict_dependent():
+            for _ in range(2):
+                await _open(service, next(fillers), "int a;\n")
+            stats = (await _req(service, {"op": "stats"}))["stats"]
+            assert dep not in stats["sessions"]
+
+        try:
+            await _open(service, header, HEADER_TEXT)
+            await _open(service, dep, DEP_TEXT)
+            reply = await _req(service, {"op": "depends", "doc": dep,
+                                         "on": header})
+            assert reply["sem_state"] == DECL
+            await evict_dependent()
+
+            # The header drops T: the forwarded invalidate rehydrates
+            # the dependent, which is then evicted once more.
+            await _req(
+                service,
+                {"op": "edit", "doc": header,
+                 "edits": [{"at": 0, "remove": len(HEADER_TEXT),
+                            "insert": ""}]},
+            )
+            await evict_dependent()
+            reply = await _req(service, {"op": "analyze", "doc": dep})
+            assert reply.get("rehydrated") is True
+            assert reply["sem_state"] == UNRESOLVED
+
+            # And back: the re-added export survives the same trip.
+            await _req(
+                service,
+                {"op": "edit", "doc": header,
+                 "edits": [{"at": 0, "remove": 0, "insert": HEADER_TEXT}]},
+            )
+            await evict_dependent()
+            reply = await _req(service, {"op": "analyze", "doc": dep})
+            assert reply.get("rehydrated") is True
+            assert reply["sem_state"] == DECL
+        finally:
+            await service.aclose()
+
+    asyncio.run(go())
