@@ -5,12 +5,8 @@ produces the canonical machine-readable benchmark artifact for the
 "incremental cost must be incremental" claim (paper section 5):
 
 * **per-edit latency vs document size** for the calc, MiniC and
-  FullC languages, at several sizes, under all three transaction modes
-  (``journal`` -- the default, ``snapshot`` -- the O(tree) fallback,
-  ``none`` -- no rollback protection, the overhead baseline);
-* **transactional overhead** per mode (mode time minus ``none`` time)
-  and the snapshot/journal overhead ratio -- the ISSUE's acceptance bar
-  is a ratio of at least 5x on a ~2k-token calc document;
+  FullC languages, at several sizes, with the observed work counters of
+  one representative edit cycle;
 * **batch reparse time** at each size, for the incremental-vs-batch
   comparison, with power-law scaling exponents for both curves;
 * **parse-table acquisition**: cold build (empty cache) vs warm disk
@@ -26,7 +22,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import statistics
 import sys
 from typing import Callable
 
@@ -44,9 +39,9 @@ from .workloads import apply_and_cancel, self_cancelling_token_edits
 
 # (language, generator, sizes).  Sizes are generator units (statements
 # for calc, lines for minic/fullc); token counts are recorded per run.
-# The third calc size lands near the ISSUE's ~2k-token acceptance
-# document.  fullc gates the real-language-scale grammar: same edit
-# workload, but pushed through the 200+-state C-subset tables.
+# The third calc size is a ~2k-token document.  fullc gates the
+# real-language-scale grammar: same edit workload, but pushed through the
+# 200+-state C-subset tables.
 FULL_SIZES: dict[str, tuple[Callable[[int], str], list[int]]] = {
     "calc": (lambda n: generate_calc_program(n, seed=11), [64, 256, 1024]),
     "minic": (lambda n: generate_minic(n, seed=11), [60, 240, 960]),
@@ -63,8 +58,6 @@ SMOKE_SIZES: dict[str, tuple[Callable[[int], str], list[int]]] = {
         [48, 192],
     ),
 }
-
-MODES = ("none", "journal", "snapshot")
 
 
 def _bench_language(
@@ -89,56 +82,29 @@ def _bench_language(
 
         batch_timing = time_fn(batch, repeat=repeat, warmup=1)
 
-        per_mode: dict[str, dict] = {}
-        for mode in MODES:
-            mdoc = Document(
-                language, text, transaction=mode, balanced_sequences=True
-            )
-            mdoc.parse()
+        def cycle() -> None:
+            for edit in edits:
+                apply_and_cancel(doc, edit)
 
-            def cycle() -> None:
-                for edit in edits:
-                    apply_and_cancel(mdoc, edit)
-
-            timing = time_fn(cycle, repeat=repeat, warmup=1)
-            # Two parses per apply_and_cancel cycle.
-            per_edit = timing.seconds / (2 * n_edits)
-            work = parse_work(mdoc.last_result.stats)
-            # Observed work counters for one representative edit cycle
-            # (apply + cancel = 2 edits, 2 parses): where the per-edit
-            # time actually goes -- reuse vs rescan vs journal traffic.
-            with obs.collecting() as cycle_work:
-                apply_and_cancel(mdoc, edits[0])
-            per_mode[mode] = {
-                "per_edit_seconds": per_edit,
-                "per_edit_median_seconds": timing.median / (2 * n_edits),
-                "last_parse_work": work,
-                "cycle_counters": {
-                    k: v for k, v in sorted(cycle_work.items()) if v
-                },
-            }
-
-        baseline = per_mode["none"]["per_edit_seconds"]
-        overheads = {
-            mode: per_mode[mode]["per_edit_seconds"] - baseline
-            for mode in ("journal", "snapshot")
-        }
-        # Journal overhead regularly measures at or below the noise
-        # floor; a ratio against it would be unbounded, so report null
-        # there (the snapshot overhead column still tells the story).
-        ratio = (
-            overheads["snapshot"] / overheads["journal"]
-            if overheads["journal"] > 0
-            else None
-        )
+        timing = time_fn(cycle, repeat=repeat, warmup=1)
+        work = parse_work(doc.last_result.stats)
+        # Observed work counters for one representative edit cycle
+        # (apply + cancel = 2 edits, 2 parses): where the per-edit
+        # time actually goes -- reuse vs rescan vs journal traffic.
+        with obs.collecting() as cycle_work:
+            apply_and_cancel(doc, edits[0])
         points.append(
             {
                 "size": size,
                 "tokens": n_tokens,
                 "batch_seconds": batch_timing.seconds,
-                "modes": per_mode,
-                "overhead_seconds": overheads,
-                "snapshot_over_journal_overhead": ratio,
+                # Two parses per apply_and_cancel cycle.
+                "per_edit_seconds": timing.seconds / (2 * n_edits),
+                "per_edit_median_seconds": timing.median / (2 * n_edits),
+                "last_parse_work": work,
+                "cycle_counters": {
+                    k: v for k, v in sorted(cycle_work.items()) if v
+                },
             }
         )
 
@@ -146,10 +112,7 @@ def _bench_language(
     batch_exp = fit_powerlaw(
         tokens, [p["batch_seconds"] for p in points]
     )
-    edit_exp = fit_powerlaw(
-        tokens,
-        [p["modes"]["journal"]["per_edit_seconds"] for p in points],
-    )
+    edit_exp = fit_powerlaw(tokens, [p["per_edit_seconds"] for p in points])
     largest = points[-1]
     return {
         "language": name,
@@ -162,11 +125,9 @@ def _bench_language(
         "largest": {
             "tokens": largest["tokens"],
             "batch_seconds": largest["batch_seconds"],
-            "per_edit_seconds": largest["modes"]["journal"][
-                "per_edit_seconds"
-            ],
+            "per_edit_seconds": largest["per_edit_seconds"],
             "speedup_vs_batch": largest["batch_seconds"]
-            / largest["modes"]["journal"]["per_edit_seconds"],
+            / largest["per_edit_seconds"],
         },
     }
 
@@ -242,28 +203,11 @@ def run(
     ]
     with tempfile.TemporaryDirectory() as tmp:
         tables = _bench_tables(tmp, repeat)
-    # A null ratio means journal overhead was below the noise floor --
-    # stronger than any finite ratio, so count it as "unbounded".
-    ratios = [
-        p["snapshot_over_journal_overhead"]
-        for lang in languages
-        for p in lang["points"]
-    ]
-    finite = [r for r in ratios if r is not None]
     return {
         "benchmark": "incremental",
         "smoke": smoke,
         "languages": languages,
         "tables": tables,
-        "summary": {
-            "snapshot_over_journal_overhead_min": min(finite)
-            if finite
-            else None,
-            "snapshot_over_journal_overhead_median": (
-                statistics.median(finite) if finite else None
-            ),
-            "unbounded_ratio_points": ratios.count(None),
-        },
     }
 
 
@@ -326,15 +270,6 @@ def main(argv: list[str] | None = None) -> int:
             f"build {entry['cold_build_seconds'] * 1e3:.1f} ms, disk load "
             f"{entry['disk_load_seconds'] * 1e3:.1f} ms "
             f"({entry['disk_speedup']:.1f}x)"
-        )
-    summary = report["summary"]
-    if summary["snapshot_over_journal_overhead_median"] is not None:
-        print(
-            "snapshot/journal overhead ratio: "
-            f"median {summary['snapshot_over_journal_overhead_median']:.1f}x, "
-            f"min {summary['snapshot_over_journal_overhead_min']:.1f}x "
-            f"({summary['unbounded_ratio_points']} point(s) with journal "
-            "overhead below the noise floor)"
         )
 
     if args.check:

@@ -4,18 +4,16 @@ Incremental reparsing mutates the previous version's tree *in place*
 (subtree shifts overwrite recorded parse states, retention-pool reuse
 re-labels old production nodes, ambiguity packing appends alternatives,
 commit re-adopts parent pointers, balanced-sequence repair splices into
-the committed spine).  The snapshot rollback primitive of
-`repro.versioned.transactions` makes that pipeline transactional by
-capturing every reachable node up front -- O(tree) work on every parse,
-including the overwhelmingly common success path.
-
-This module provides the production-scale alternative the snapshot
-docstring promised: a :class:`MutationJournal` that records each node's
-mutable fields *the first time the node is written* during a parse
-attempt.  Rollback replays the journal in reverse, writing the old
-values back; the cost of both recording and replay is proportional to
-the number of nodes actually touched -- O(t + s lg N) for an
+the committed spine).  `repro.versioned.transactions` makes that
+pipeline transactional with a :class:`MutationJournal`, which records
+each node's mutable fields *the first time the node is written* during
+a parse attempt.  Rollback replays the journal in reverse, writing the
+old values back; the cost of both recording and replay is proportional
+to the number of nodes actually touched -- O(t + s lg N) for an
 incremental parse, matching the paper's bound for the parse itself.
+Capturing every reachable node up front instead would cost O(tree) on
+every parse, including the overwhelmingly common success path; that
+strategy survives only as the test oracle in `repro.testing.oracles`.
 
 Instrumentation contract
 ------------------------
@@ -43,8 +41,7 @@ enclosing transaction; every active journal records the first touch it
 has not yet seen, so rolling back an inner trial leaves the outer
 journal able to roll the document all the way back to the pre-parse
 state.  With no journal active, :func:`touch` is a call plus an
-iteration over an empty tuple -- the production overhead of snapshot
-mode's O(tree) capture is gone and nothing replaces it.
+iteration over an empty tuple.
 """
 
 from __future__ import annotations
@@ -70,12 +67,12 @@ def touch(node) -> None:
 class MutationJournal:
     """First-touch undo log over parse-DAG nodes.
 
-    Record layout matches ``DocumentSnapshot``: ``(node, state, parent,
-    n_terms, structure)`` where ``structure`` is the node-kind-specific
-    mutable link bundle (see ``Node._capture_structure``).  Replaying in
-    reverse is therefore bit-identical to a snapshot restore over the
-    touched region -- the differential fault-injection suite asserts
-    exactly that.
+    Record layout matches ``repro.testing.oracles.DocumentSnapshot``:
+    ``(node, state, parent, n_terms, structure)`` where ``structure`` is
+    the node-kind-specific mutable link bundle (see
+    ``Node._capture_structure``).  Replaying in reverse is therefore
+    bit-identical to a snapshot restore over the touched region -- the
+    differential fault-injection suite asserts exactly that.
     """
 
     __slots__ = ("_seen", "_records")

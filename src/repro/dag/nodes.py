@@ -135,8 +135,9 @@ class Node:
     def _capture_structure(self):
         """The node-kind-specific mutable link bundle, or None.
 
-        Shared by snapshot capture and the first-touch mutation journal
-        so both rollback primitives restore byte-identical state.
+        Shared by the first-touch mutation journal and the snapshot
+        oracle (``repro.testing.oracles``) so both restore
+        byte-identical state.
         Terminals and sequence parts have no mutable structure beyond
         the (state, parent, n_terms) triple every node carries.
         """

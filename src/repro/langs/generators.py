@@ -220,8 +220,7 @@ def generate_typedef_edit_script(
     the typedef declarations those statements consult, retarget
     statements between names, and append fresh ambiguous statements.
     Typedef names (``Q*``) never collide with ordinary names
-    (``u*``/``p*``), so set-based change detection (the
-    ``REPRO_SEMANTICS=rescan`` oracle) observes every toggle.
+    (``u*``/``p*``).
 
     Each :class:`EditStep` is relative to the text produced by its
     predecessors; replay with :func:`apply_edit_step`.

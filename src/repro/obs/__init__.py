@@ -5,8 +5,8 @@ incremental pipeline:
 
 * **counters** (:func:`incr`) accumulate the paper-relevant work
   quantities -- subtrees reused vs decomposed, tokens rescanned vs
-  reused, GSS forks/merges, journal records, snapshot bytes, table-cache
-  hits -- in a process-wide registry;
+  reused, GSS forks/merges, journal records, table-cache hits -- in a
+  process-wide registry;
 * **spans** (:func:`span`) are hierarchical timed regions
   (``with span("doc.parse"): ...``); each completed span records wall
   time, nesting, and the *counter deltas* that occurred inside it, so a

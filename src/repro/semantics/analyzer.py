@@ -30,18 +30,12 @@ imported from documents this one depends on (see
 present in the external set resolves as a type;
 :meth:`apply_external_delta` re-decides dependent choice points when an
 upstream document's exports change.
-
-``REPRO_SEMANTICS=rescan`` selects the legacy O(tree)
-binding-signature rescan as the change-*detection* oracle (the
-re-decisions themselves still go through the precise resolver); it is
-kept for differential testing only.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-import os
 from dataclasses import dataclass, field
 
 from .. import obs
@@ -57,8 +51,6 @@ from ..langs.minic import (
 from ..versioned.document import Document
 from .filters import reset_choice, semantic_select
 from .symtab import Binding, BindingTable, Namespace, Scope
-
-SEMANTICS_ENV = "REPRO_SEMANTICS"
 
 _SCOPE_LHS = ("block", "func_def")
 
@@ -108,9 +100,6 @@ class TypedefAnalyzer:
         self._sites: dict[str, dict[int, tuple[Node, Namespace]]] = {}
         # Type names imported from dependency documents (project layer).
         self.external_typedefs: set[str] = set()
-        # Binding-signature of the last full/rescan pass (rescan oracle).
-        self._last_typedefs: set[str] = set()
-        self._last_ordinary: dict[str, int] = {}
         # Document version the indices describe; -1 = never analyzed.
         self._analyzed_version = -1
         self._typedef_view: set[str] = set()
@@ -138,9 +127,6 @@ class TypedefAnalyzer:
             self._walk(self.document.body, globals_, report)
             report.typedef_names = self.table.typedef_names()
             self._typedef_view = set(report.typedef_names)
-            self._last_ordinary, self._last_typedefs = (
-                self._scan_binding_signature()
-            )
             self._analyzed_version = self.document.version
         return report
 
@@ -334,92 +320,45 @@ class TypedefAnalyzer:
     def update(self) -> SemanticReport:
         """Re-analyze after an edit/reparse cycle.
 
-        Fast path (default, journal-driven): derive the touched names
-        from the last commit's outputs — terminals removed from the
-        token stream and fresh binding productions — and re-decide only
-        the choice points that consulted those names, in document
-        order, resolving each against the binding-site index.  Falls
-        back to :meth:`analyze` when the reparse changed choice-point
-        or scope *structure* (new symbol nodes, error regions, a fresh
-        scope adopting reused subtrees, skipped versions).
-
-        ``REPRO_SEMANTICS=rescan`` swaps the change detector for the
-        legacy O(tree) binding-signature scan (differential oracle).
+        Derive the touched names from the last commit's outputs --
+        terminals removed from the token stream and fresh binding
+        productions -- and re-decide only the choice points that
+        consulted those names, in document order, resolving each
+        against the binding-site index.  Falls back to :meth:`analyze`
+        when the reparse changed choice-point or scope *structure* (new
+        symbol nodes, error regions, a fresh scope adopting reused
+        subtrees, skipped versions).
         """
         if self._analyzed_version < 0:
             return self.analyze()
-        with obs.span(
-            "sem.update", version=self.document.version
-        ):
-            if self.document.version == self._analyzed_version:
+        doc = self.document
+        with obs.span("sem.update", version=doc.version):
+            if doc.version == self._analyzed_version:
                 # Nothing committed since the indices were built.
                 obs.incr("sem.fast_updates")
                 return SemanticReport(
                     typedef_names=set(self._typedef_view),
                     full_pass=False,
                 )
-            mode = (os.environ.get(SEMANTICS_ENV) or "").strip().lower()
-            if mode == "rescan":
-                return self._update_rescan()
-            return self._update_journal()
-
-    def _update_journal(self) -> SemanticReport:
-        doc = self.document
-        result = doc.last_result
-        if (
-            result is None
-            or doc.version != self._analyzed_version + 1
-            or doc.has_errors
-        ):
-            return self.analyze()
-        for node in result.new_nodes:
-            if node.is_symbol_node or node.is_error_node:
+            result = doc.last_result
+            if (
+                result is None
+                or doc.version != self._analyzed_version + 1
+                or doc.has_errors
+            ):
                 return self.analyze()
-            parent = node.parent
-            if parent is not None and parent.is_symbol_node:
-                # A fresh alternative grafted onto an existing choice.
+            for node in result.new_nodes:
+                if node.is_symbol_node or node.is_error_node:
+                    return self.analyze()
+                parent = node.parent
+                if parent is not None and parent.is_symbol_node:
+                    # A fresh alternative grafted onto an existing choice.
+                    return self.analyze()
+            self._begin_pass()
+            if self._scope_structure_changed(result.new_nodes):
                 return self.analyze()
-        self._begin_pass()
-        if self._scope_structure_changed(result.new_nodes):
-            return self.analyze()
-        candidates = self._collect_candidates(result.new_nodes)
-        return self._apply_candidates(candidates)
-
-    def _update_rescan(self) -> SemanticReport:
-        """Legacy detector: O(tree) binding-signature diff (oracle only).
-
-        Sound for edits that change the typedef *set* or the ordinary
-        multiset; blind to signature-neutral moves (a declaration
-        changing scopes without changing names), which the journal
-        detector handles precisely — the reason this path is only a
-        differential oracle.
-        """
-        doc = self.document
-        result = doc.last_result
-        if (
-            result is None
-            or doc.version != self._analyzed_version + 1
-            or doc.has_errors
-            or not self._decisions_by_name
-        ):
-            return self.analyze()
-        for node in result.new_nodes:
-            if node.is_symbol_node or node.is_error_node:
-                return self.analyze()
-            parent = node.parent
-            if parent is not None and parent.is_symbol_node:
-                return self.analyze()
-        self._begin_pass()
-        if self._scope_structure_changed(result.new_nodes):
-            return self.analyze()
-        ordinary, typedefs = self._scan_binding_signature()
-        if ordinary != self._last_ordinary:
-            return self.analyze()
-        # Keep the site index fresh even though detection is scan-based.
-        self._collect_candidates(result.new_nodes)
-        flipped = typedefs ^ self._last_typedefs
-        self._last_typedefs = typedefs
-        return self._apply_candidates(flipped)
+            candidates = self._collect_candidates(result.new_nodes)
+            return self._apply_candidates(candidates)
 
     def _apply_candidates(self, names: set[str]) -> SemanticReport:
         """Re-decide every live decision consulting ``names``, in
@@ -666,38 +605,6 @@ class TypedefAnalyzer:
                     names.add(kid.text)
         return names
 
-    def _scan_binding_signature(self) -> tuple[dict[str, int], set[str]]:
-        """One light structural walk: ordinary-binding multiset + typedefs.
-
-        Cheap relative to :meth:`analyze` (no scope construction, no
-        filtering), but still O(tree) — which is why it is only the
-        ``REPRO_SEMANTICS=rescan`` differential oracle, not the default
-        detector.
-        """
-        ordinary: dict[str, int] = {}
-        typedefs: set[str] = set()
-        assert self.document.body is not None
-        for node in self.document.body.walk(into_alternatives=False):
-            if not isinstance(node, ProductionNode):
-                continue
-            lhs = node.production.lhs
-            if lhs == "typedef_decl":
-                term = declared_name(node.kids[2])
-                if term is not None:
-                    typedefs.add(term.text)
-            elif lhs == "decl":
-                for term in declared_names(node.kids[1]):
-                    ordinary[term.text] = ordinary.get(term.text, 0) + 1
-            elif lhs == "func_def":
-                name = node.kids[1]
-                if isinstance(name, TerminalNode):
-                    ordinary[name.text] = ordinary.get(name.text, 0) + 1
-                for param in self._iter_params(node.kids[3]):
-                    term = declared_name(param.kids[1])
-                    if term is not None:
-                        ordinary[term.text] = ordinary.get(term.text, 0) + 1
-        return ordinary, typedefs
-
     # -- structural predicates (memoized per pass) ---------------------------
 
     def _begin_pass(self) -> None:
@@ -707,7 +614,13 @@ class TypedefAnalyzer:
         self._scope_cache = {}
 
     def _still_in_tree(self, node: Node) -> bool:
-        """Liveness, memoized along the parent chain for the whole pass."""
+        """Liveness, memoized along the parent chain for the whole pass.
+
+        Each step also checks that the node is still among its parent's
+        kids: a balanced-sequence splice detaches the replaced spine
+        parts without clearing their parent pointers, which still lead
+        into the live tree.
+        """
         cache = self._intree_cache
         chain: list[Node] = []
         current: Node | None = node
@@ -723,7 +636,11 @@ class TypedefAnalyzer:
                 alive = True
                 break
             chain.append(current)
-            current = current.parent
+            parent = current.parent
+            if parent is not None and current not in parent.kids:
+                alive = False
+                break
+            current = parent
         for item in chain:
             cache[id(item)] = alive
         return alive

@@ -1,10 +1,14 @@
-"""Test support: deterministic fault injection and edit-script drivers.
+"""Test support: deterministic fault injection, edit-script drivers,
+and differential oracles.
 
-Nothing in this package imports the rest of ``repro`` -- the analysis
-layers import *it* (for :func:`~repro.testing.faults.crash_point`), so
-keeping it dependency-free avoids import cycles and keeps the
-production-path overhead of a disabled crash point to one attribute
-load.
+Nothing this package imports at load time depends on the rest of
+``repro`` -- the analysis layers import *it* (for
+:func:`~repro.testing.faults.crash_point`), so keeping it
+dependency-free avoids import cycles and keeps the production-path
+overhead of a disabled crash point to one attribute load.  The one
+exception, :mod:`repro.testing.oracles` (reference implementations
+built on the analysis layers), is never imported by this package;
+tests import it directly.
 """
 
 from .faults import (

@@ -13,12 +13,11 @@ abstract parse DAG, and keeps all three consistent across edits:
   exists, and panic-mode error isolation confines the damage to
   :class:`~repro.dag.nodes.ErrorNode` regions when it does not.
 
-Every parse is transactional by default: a first-touch mutation journal
-(see `repro.versioned.transactions`) records old values as the pipeline
+Every parse is transactional: a first-touch mutation journal (see
+`repro.versioned.transactions`) records old values as the pipeline
 writes them and is replayed in reverse if *anything* goes wrong, so no
 exception -- syntax error, invariant violation, injected fault -- can
-leave a document between versions.  ``REPRO_TXN=snapshot`` selects the
-O(tree) value-snapshot strategy instead (the differential oracle).
+leave a document between versions.
 
 The previous tree is the paper's ``lastParsedVersion``; between parses,
 modifications accumulate in token-level bookkeeping and are turned into a
@@ -42,11 +41,7 @@ from ..parser.incremental_lr import IncrementalLRParser
 from ..parser.input_stream import InputStream
 from ..parser.plan import ParsePlan
 from ..testing.faults import crash_point, register_points
-from .transactions import (
-    Transaction,
-    begin_transaction,
-    resolve_transaction_mode,
-)
+from .transactions import JournalTransaction
 
 register_points(**{
     "commit:start": "commit pipeline entered, nothing written yet",
@@ -107,8 +102,6 @@ class Document:
         text: str = "",
         engine: str = "iglr",
         balanced_sequences: bool = False,
-        transactional: bool = True,
-        transaction: str | None = None,
     ) -> None:
         self.language = language
         self.text = text
@@ -118,15 +111,6 @@ class Document:
         # sequence-local edits are repaired by fragment reparse + splice
         # without running the main parser.
         self.balanced_sequences = balanced_sequences
-        # Transactional parses roll back on any failure.  The strategy
-        # (``journal`` first-touch undo log, ``snapshot`` O(tree) value
-        # capture, or ``none``) comes from the ``transaction`` argument,
-        # the REPRO_TXN environment variable, or the journal default;
-        # ``transactional=False`` is the legacy spelling of ``none``.
-        self.transaction_mode = (
-            "none" if not transactional else resolve_transaction_mode(transaction)
-        )
-        self.transactional = self.transaction_mode != "none"
         if engine == "iglr":
             self._parser = IGLRParser(language.table)
         elif engine == "lr":
@@ -220,39 +204,34 @@ class Document:
         :class:`~repro.parser.iglr.ParseError` propagates and the
         document keeps its previous version.
 
-        In transactional mode (the default) *any* exception escaping this
-        method -- including ``recover=False`` syntax errors and faults
-        injected into the commit pipeline -- leaves the document exactly
-        as it was on entry.
+        *Any* exception escaping this method -- including
+        ``recover=False`` syntax errors and faults injected into the
+        commit pipeline -- leaves the document exactly as it was on
+        entry.
         """
         with obs.span("doc.parse", version=self.version):
             obs.incr("doc.parses")
             return self._parse_transactional(recover)
 
+    def _transaction(self) -> JournalTransaction:
+        """Open a rollback scope over the document's current state."""
+        return JournalTransaction(self)
+
     def _parse_transactional(self, recover: bool) -> AnalysisReport:
-        txn = begin_transaction(self, self.transaction_mode)
+        txn = self._transaction()
         try:
             try:
                 report = self._parse_attempt()
             except ParseError:
-                if txn.real:
-                    txn.rollback(self)
                 if not recover:
                     raise
-                try:
-                    report = self._recover_ladder(txn)
-                except BaseException:
-                    if txn.real:
-                        txn.rollback(self)
-                    raise
+                txn.rollback(self)
+                report = self._recover_ladder(txn)
                 if report is None:
-                    if txn.real:
-                        txn.rollback(self)
                     raise
-            except BaseException:
-                if txn.real:
-                    txn.rollback(self)
-                raise
+        except BaseException:
+            txn.rollback(self)
+            raise
         finally:
             txn.close()
         if validation_enabled():
@@ -412,15 +391,15 @@ class Document:
 
     # -- error recovery -----------------------------------------------------------
 
-    def _recover_ladder(self, txn: Transaction):
+    def _recover_ladder(self, txn: JournalTransaction):
         """Run the recovery ladder after a failed parse attempt.
 
         The document has already been rolled back to its pre-parse state
-        (transactional mode) when this runs; ``txn`` is the enclosing
-        parse transaction, still open, used to re-reach that state when
-        reversion exhausts the history.  Returns the report of the step
-        that succeeded, or None when no step applies -- the caller then
-        re-raises the original :class:`ParseError`.
+        when this runs; ``txn`` is the enclosing parse transaction, still
+        open, used to re-reach that state when reversion exhausts the
+        history.  Returns the report of the step that succeeded, or None
+        when no step applies -- the caller then re-raises the original
+        :class:`ParseError`.
 
         Ladder, in order (paper 4.3 plus isolation):
 
@@ -432,9 +411,9 @@ class Document:
            at a time until some prefix of the modification history
            parses; reverted edits are reported as unincorporated.
         3. *Isolation as last resort* when reversion exhausts the edit
-           log without converging: re-apply the full edit history
-           (transactional mode) and commit an error-isolated tree
-           instead of losing the user's modifications.
+           log without converging: re-apply the full edit history and
+           commit an error-isolated tree instead of losing the user's
+           modifications.
         """
         if self.tree is None or self._error_count:
             report = self._parse_isolated()
@@ -453,30 +432,22 @@ class Document:
             )
             reverted.append(edit)
             crash_point("recover:after-revert")
-            attempt = begin_transaction(self, self.transaction_mode)
+            attempt = self._transaction()
             try:
                 try:
                     self._attempt_parse()
                 except ParseError:
                     # A failed trial must not leak scratch state (fresh
                     # terminal nodes, clobbered parse states) into the
-                    # next one: roll back to the post-revert state, or
-                    # at minimum drop the scratch nodes when
-                    # non-transactional.
-                    if attempt.real:
-                        attempt.rollback(self)
-                    else:
-                        self._fresh_nodes = {}
+                    # next one: roll back to the post-revert state.
+                    attempt.rollback(self)
                     continue
                 # The reverted prefix parses.  Discard the trial's
                 # scratch and in-place mutations, then incorporate it
                 # through the full pipeline -- which gets another shot
                 # at the sequence-repair fast path for the surviving
                 # edits.
-                if attempt.real:
-                    attempt.rollback(self)
-                else:
-                    self._fresh_nodes = {}
+                attempt.rollback(self)
             finally:
                 attempt.close()
             crash_point("recover:before-commit")
@@ -486,14 +457,8 @@ class Document:
         # Reversion exhausted the history without converging.  Re-apply
         # the edits (by rolling back to the pre-parse state) and isolate
         # the errors instead.
-        if txn.real:
-            txn.rollback(self)
-            reverted = []
-        report = self._parse_isolated()
-        if report is not None:
-            report.reverted_edits = reverted
-            return report
-        return None
+        txn.rollback(self)
+        return self._parse_isolated()
 
     def _parse_isolated(self) -> AnalysisReport | None:
         """Batch reparse with panic-mode error isolation (paper 4.3).
@@ -502,7 +467,7 @@ class Document:
         :class:`~repro.dag.nodes.ErrorNode` subtrees.  Returns None (with
         the document restored) if even the tolerant parse fails.
         """
-        txn = begin_transaction(self, self.transaction_mode)
+        txn = self._transaction()
         try:
             try:
                 if self.tree is None:
@@ -518,8 +483,7 @@ class Document:
                 crash_point("isolate:reparse")
                 result = self._parser.parse_tolerant(terminals)
             except ParseError:
-                if txn.real:
-                    txn.rollback(self)
+                txn.rollback(self)
                 return None
             self._commit(result)
         finally:

@@ -10,66 +10,31 @@ pipeline would otherwise leave the document half-mutated -- parsed-tree
 bookkeeping out of sync with the text, parent chains pointing into
 discarded structure.
 
-Two rollback strategies implement the same guarantee:
+:class:`JournalTransaction` implements the rollback guarantee: a
+first-touch :class:`~repro.dag.journal.MutationJournal` records each
+node's old field values the first time a mutation site writes it;
+rollback replays the journal in reverse.  Begin cost is O(tokens)
+(shallow copies of the document's scalar bookkeeping, at C speed);
+per-parse node cost is O(touched region), which keeps the *incremental*
+cost of a parse incremental.
 
-* **Journal** (:class:`JournalTransaction`, the default) -- a
-  first-touch :class:`~repro.dag.journal.MutationJournal` records each
-  node's old field values the first time a mutation site writes it;
-  rollback replays the journal in reverse.  Begin cost is O(tokens)
-  (shallow copies of the document's scalar bookkeeping, at C speed);
-  per-parse node cost is O(touched region).  This is the strategy that
-  keeps the *incremental* cost of a parse incremental.
-* **Snapshot** (:class:`SnapshotTransaction`) -- capture every mutable
-  field of every reachable node before the attempt, write it all back
-  on failure.  O(tree) on every parse, trivially correct; retained as
-  the differential-testing oracle and selectable via ``REPRO_TXN``.
-
-Select with ``Document(transaction=...)`` or the ``REPRO_TXN``
-environment variable (``journal`` | ``snapshot`` | ``none``).  Both
-strategies are value-faithful: node *identities* survive rollback, so
-annotations, the token registry, and any outstanding edit log keep
-working after a restore exactly as before the failed attempt.  The
-fault-injection suite asserts the two restore bit-identical state.
+Rollback is value-faithful: node *identities* survive, so annotations,
+the token registry, and any outstanding edit log keep working after a
+restore exactly as before the failed attempt.  The O(tree) value
+snapshot that the fault-injection suite compares against lives in
+:mod:`repro.testing.oracles`.
 """
 
 from __future__ import annotations
 
-import os
-
-from .. import obs
 from ..dag.journal import MutationJournal, activate, deactivate
-from ..dag.nodes import Node
-
-# Record layout: (node, state, parent, n_terms, structure) where
-# ``structure`` is the node-kind-specific mutable link bundle
-# (``Node._capture_structure``) -- shared with the mutation journal.
-_Record = tuple
-
-# Environment knob for the default transaction strategy.
-TXN_ENV = "REPRO_TXN"
-TXN_MODES = ("journal", "snapshot", "none")
-
-
-def resolve_transaction_mode(explicit: str | None = None) -> str:
-    """The transaction strategy to use: explicit arg > ``REPRO_TXN`` > journal."""
-    if explicit is not None:
-        if explicit not in TXN_MODES:
-            raise ValueError(
-                f"unknown transaction mode {explicit!r}; "
-                f"expected one of {', '.join(TXN_MODES)}"
-            )
-        return explicit
-    env = os.environ.get(TXN_ENV, "").strip().lower()
-    if env in TXN_MODES:
-        return env
-    return "journal"
 
 
 class _DocumentState:
     """The document's own (non-node) mutable state, captured shallowly.
 
     Token lists and registries are copied at C speed; tree nodes are
-    *not* walked here -- node-level capture is the strategies' job.
+    *not* walked here -- node-level capture is the journal's job.
     """
 
     __slots__ = (
@@ -109,101 +74,16 @@ class _DocumentState:
         doc.tree = self.tree
 
 
-class DocumentSnapshot:
-    """A restorable snapshot of a Document's complete analysis state."""
-
-    __slots__ = ("state", "records")
-
-    def __init__(self, document) -> None:
-        self.state = _DocumentState(document)
-        self.records: list[_Record] = (
-            _capture(document.tree) if document.tree is not None else []
-        )
-
-    def restore(self, document) -> None:
-        """Write the snapshot back; the document forgets the failed attempt."""
-        self.state.restore(document)
-        for node, state, parent, n_terms, structure in self.records:
-            node.state = state
-            node.parent = parent
-            node.n_terms = n_terms
-            node._restore_structure(structure)
-
-
-def _capture(root: Node) -> list[_Record]:
-    """Mutable state of every node reachable from ``root``, once each.
-
-    Sequence parts are persistent (their kid tuples, item counts, and
-    depths are fixed at construction), so for them -- as for terminals --
-    only the shared (state, parent, n_terms) triple needs recording.
-    """
-    records: list[_Record] = []
-    seen: set[int] = set()
-    stack: list[Node] = [root]
-    while stack:
-        node = stack.pop()
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        records.append(
-            (
-                node,
-                node.state,
-                node.parent,
-                node.n_terms,
-                node._capture_structure(),
-            )
-        )
-        stack.extend(node.kids)
-    return records
-
-
-# -- transactions --------------------------------------------------------------
-
-
-class Transaction:
-    """One parse attempt's rollback scope.
+class JournalTransaction:
+    """One parse attempt's rollback scope: capture on write, replay in
+    reverse on failure.
 
     ``rollback`` restores the document to the state at construction and
     may be called repeatedly (the recovery ladder rolls back, mutates
     further, and rolls back again).  ``close`` releases the scope and
     must run exactly once, on every exit path -- callers use
-    ``try/finally``.  ``real`` is False only for the null strategy, so
-    the ladder can keep its non-transactional fallback behaviour.
+    ``try/finally``.
     """
-
-    real = True
-
-    def rollback(self, document) -> None:
-        raise NotImplementedError
-
-    def close(self) -> None:
-        """Release the transaction scope (idempotent)."""
-
-
-class SnapshotTransaction(Transaction):
-    """O(tree) value snapshot up front; restore is a bulk write-back."""
-
-    __slots__ = ("_snapshot",)
-
-    def __init__(self, document) -> None:
-        self._snapshot = DocumentSnapshot(document)
-        n = len(self._snapshot.records)
-        obs.incr("txn.snapshot_records", n)
-        # Space model matches repro.obs.space: five words per captured
-        # record (node ref, state, parent, n_terms, structure).
-        obs.incr("txn.snapshot_bytes", n * 5 * 8)
-
-    @property
-    def node_records(self) -> int:
-        return len(self._snapshot.records)
-
-    def rollback(self, document) -> None:
-        self._snapshot.restore(document)
-
-
-class JournalTransaction(Transaction):
-    """First-touch journal: capture on write, replay in reverse on failure."""
 
     __slots__ = ("_state", "_journal", "_open")
 
@@ -226,26 +106,7 @@ class JournalTransaction(Transaction):
         self._state.restore(document)
 
     def close(self) -> None:
+        """Release the transaction scope (idempotent)."""
         if self._open:
             self._open = False
             deactivate(self._journal)
-
-
-class NullTransaction(Transaction):
-    """Opt-out: no capture, no rollback (``transaction="none"``)."""
-
-    real = False
-
-    def rollback(self, document) -> None:  # pragma: no cover - never called
-        raise RuntimeError("null transaction cannot roll back")
-
-
-def begin_transaction(document, mode: str) -> Transaction:
-    """Open a transaction of the given strategy over ``document``."""
-    if mode == "journal":
-        return JournalTransaction(document)
-    if mode == "snapshot":
-        return SnapshotTransaction(document)
-    if mode == "none":
-        return NullTransaction()
-    raise ValueError(f"unknown transaction mode {mode!r}")

@@ -233,7 +233,7 @@ class TestPipelineIntegration:
     def test_edit_session_reports_paper_counters(self):
         language = get_language("calc")
         text = generate_calc_program(24, seed=5)
-        doc = Document(language, text, transaction="journal")
+        doc = Document(language, text)
         doc.parse()
         offset = doc.text.index("=") + 2
         with obs.collecting() as work:

@@ -5,12 +5,10 @@ maintained semantic state -- every choice point's selection and every
 alternative's ``filtered``/``filter_reason`` annotations -- is
 *byte-identical* to a fresh ``analyze()`` of the final text.  Scripts
 are the randomized typedef-heavy edit scripts from
-``repro.langs.generators``, replayed against four backends:
+``repro.langs.generators``, replayed against three backends:
 
-* a direct :class:`~repro.versioned.document.Document` with the default
+* a direct :class:`~repro.versioned.document.Document` with
   journal-driven change detection;
-* the same with ``REPRO_SEMANTICS=rescan`` (the legacy O(tree)
-  signature-scan oracle kept as a satellite of ISSUE 8);
 * an in-process :class:`~repro.service.server.AnalysisService`
   session, where the full DAG digest is still reachable;
 * a sharded :class:`~repro.service.pool.ShardDispatcher` with two
@@ -18,8 +16,9 @@ are the randomized typedef-heavy edit scripts from
 
 Also here: the counter-verified size-independence bound (re-decisions
 per edit must not grow with document size), the stale-decision drop
-test (spliced-out choices are forgotten, not re-decided), and the
-add -> remove -> re-add round-trip property (``reset_choice`` leaves no
+test (spliced-out choices are forgotten, not re-decided), the export
+set after a balanced-sequence splice, and the add -> remove -> re-add
+round-trip property (``reset_choice`` leaves no
 residue, so the final state is byte-identical to the initial one).
 """
 
@@ -125,12 +124,6 @@ def replay_direct(seed, n_steps=14):
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_incremental_matches_fresh_analyze(seed):
-    replay_direct(seed)
-
-
-@pytest.mark.parametrize("seed", SEEDS)
-def test_rescan_oracle_matches_fresh_analyze(seed, monkeypatch):
-    monkeypatch.setenv("REPRO_SEMANTICS", "rescan")
     replay_direct(seed)
 
 
@@ -332,6 +325,34 @@ def test_spliced_out_decisions_absent_end_to_end():
     analyzer.update()
     assert analyzer.decision_summary()["decisions"] == 1
     assert semantic_digest(doc) == fresh_digest(doc.text)
+
+
+def test_balanced_splice_drops_removed_typedef_from_exports():
+    # Sequence repair splices the deleted item out of the balanced
+    # spine, but the replaced spine parts keep parent pointers into the
+    # live tree: liveness must check membership, not just follow
+    # parents.  With uses of the removed name, the update must still
+    # take the fast path (re-deciding only those uses).
+    header = "".join(f"typedef int T{i};\n" for i in range(6))
+    header += "".join(f"int v{i};\n" for i in range(30))
+    uses = "int f(int p) {\n  T3 (u0);\n  T3 (u1);\n}\n"
+    line = "typedef int T3;\n"
+    for text in (header, header + uses):
+        doc = Document(minic_language(), text, balanced_sequences=True)
+        doc.parse()
+        analyzer = TypedefAnalyzer(doc)
+        analyzer.analyze()
+        with obs.collecting() as work:
+            doc.edit(text.index(line), len(line), "")
+            doc.parse()
+            report = analyzer.update()
+        assert work.get("seq.repairs", 0) == 1
+        assert report.full_pass is False
+        fresh_doc, fresh = fresh_analyzer(doc.text, balanced=True)
+        assert "T3" not in analyzer.exported_typedefs()
+        assert analyzer.exported_typedefs() == fresh.exported_typedefs()
+        assert analyzer.decision_summary() == fresh.decision_summary()
+        assert semantic_digest(doc) == semantic_digest(fresh_doc)
 
 
 # -- add -> remove -> re-add round trip (reset_choice leaves no residue) ------

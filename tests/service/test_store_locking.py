@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import os
+import select
 import subprocess
 import sys
 from pathlib import Path
@@ -55,6 +56,10 @@ from repro.service.persist import SnapshotStore, SessionSnapshot
 
 directory, rounds = sys.argv[1], int(sys.argv[2])
 store = SnapshotStore(directory)
+# Start barrier: without it one child can finish every save before the
+# other has even imported repro, and the hammer never contends.
+print("ready", flush=True)
+sys.stdin.readline()
 
 
 def snap(version):
@@ -83,12 +88,22 @@ def run_hammer(directory: Path, rounds: int) -> dict:
     procs = [
         subprocess.Popen(
             [sys.executable, "-c", script, str(directory), str(rounds)],
+            stdin=subprocess.PIPE,
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
             text=True,
         )
         for _ in range(2)
     ]
+    for proc in procs:
+        readable, _, _ = select.select([proc.stdout], [], [], 120)
+        assert readable, "hammer child never reported ready"
+        assert proc.stdout.readline() == "ready\n", (
+            f"hammer child failed:\n{proc.communicate(timeout=120)[1]}"
+        )
+    for proc in procs:
+        proc.stdin.write("go\n")
+        proc.stdin.flush()
     counts = []
     for proc in procs:
         out, err = proc.communicate(timeout=120)

@@ -5,9 +5,10 @@ is instrumented; a missed site silently corrupts rollback.  These suites
 make that failure loud: a deep field-by-field fingerprint of the
 complete analysis state is taken before a parse, a fault is injected at
 every discoverable crash point, and the fingerprint after rollback must
-be bit-identical -- under *both* ``REPRO_TXN`` strategies, for every
-engine variation that mutates old structure (IGLR, deterministic LR,
-balanced sequences).
+be bit-identical -- on both a production ``Document`` (journal) and the
+``SnapshotDocument`` oracle (O(tree) value snapshot), for every engine
+variation that mutates old structure (IGLR, deterministic LR, balanced
+sequences).
 """
 
 from __future__ import annotations
@@ -19,15 +20,12 @@ from repro.dag.journal import active_count
 from repro.dag.validate import validate_document
 from repro.langs.calc import calc_language
 from repro.testing import InjectedFault, inject, observed_points
-from repro.versioned.transactions import (
-    JournalTransaction,
-    SnapshotTransaction,
-    resolve_transaction_mode,
-)
+from repro.testing.oracles import SnapshotDocument, SnapshotTransaction
+from repro.versioned.transactions import JournalTransaction
 
 pytestmark = pytest.mark.faults
 
-MODES = ("journal", "snapshot")
+DOCUMENTS = (Document, SnapshotDocument)
 
 LANG = Language.from_dsl(
     """
@@ -89,10 +87,8 @@ def fingerprint(doc):
     )
 
 
-def _edited_doc(mode, balanced=False, lang=None, text="a = 1; b = 2; c = 3;"):
-    doc = Document(
-        lang or LANG, text, transaction=mode, balanced_sequences=balanced
-    )
+def _edited_doc(cls, balanced=False, lang=None, text="a = 1; b = 2; c = 3;"):
+    doc = cls(lang or LANG, text, balanced_sequences=balanced)
     doc.parse()
     return doc
 
@@ -100,45 +96,45 @@ def _edited_doc(mode, balanced=False, lang=None, text="a = 1; b = 2; c = 3;"):
 class TestFaultPointEquivalence:
     """Every discoverable crash point rolls back bit-identically."""
 
-    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("cls", DOCUMENTS)
     @pytest.mark.parametrize("balanced", [False, True])
-    def test_clean_edit_rollback_state_identical(self, mode, balanced):
+    def test_clean_edit_rollback_state_identical(self, cls, balanced):
         lang = calc_language() if balanced else LANG
-        doc = _edited_doc(mode, balanced=balanced, lang=lang)
+        doc = _edited_doc(cls, balanced=balanced, lang=lang)
         doc.edit(4, 1, "7")
         points = observed_points(doc.parse)
         assert points, "edit parse must pass crash points"
         for point in points:
-            doc = _edited_doc(mode, balanced=balanced, lang=lang)
+            doc = _edited_doc(cls, balanced=balanced, lang=lang)
             doc.edit(4, 1, "7")
             before = fingerprint(doc)
             with inject(point):
                 with pytest.raises(InjectedFault):
                     doc.parse()
-            assert fingerprint(doc) == before, (mode, point)
+            assert fingerprint(doc) == before, (cls, point)
             report = doc.parse()  # and the retry completes cleanly
             assert report.fully_incorporated
             assert validate_document(doc) == []
 
-    @pytest.mark.parametrize("mode", MODES)
-    def test_recovery_ladder_rollback_state_identical(self, mode):
-        doc = _edited_doc(mode)
+    @pytest.mark.parametrize("cls", DOCUMENTS)
+    def test_recovery_ladder_rollback_state_identical(self, cls):
+        doc = _edited_doc(cls)
         doc.insert(0, "(((")
         points = observed_points(doc.parse)
         for point in points:
-            doc = _edited_doc(mode)
+            doc = _edited_doc(cls)
             doc.insert(0, "(((")
             before = fingerprint(doc)
             with inject(point):
                 with pytest.raises(InjectedFault):
                     doc.parse()
-            assert fingerprint(doc) == before, (mode, point)
+            assert fingerprint(doc) == before, (cls, point)
             report = doc.parse()
             assert report.reverted_edits
 
-    @pytest.mark.parametrize("mode", MODES)
-    def test_engine_lr_rollback_state_identical(self, mode):
-        doc = Document(LANG, "a = 1; b = 2;", engine="lr", transaction=mode)
+    @pytest.mark.parametrize("cls", DOCUMENTS)
+    def test_engine_lr_rollback_state_identical(self, cls):
+        doc = cls(LANG, "a = 1; b = 2;", engine="lr")
         doc.parse()
         doc.edit(4, 1, "9")
         before = fingerprint(doc)
@@ -148,11 +144,11 @@ class TestFaultPointEquivalence:
         assert fingerprint(doc) == before
         assert doc.parse().fully_incorporated
 
-    @pytest.mark.parametrize("mode", MODES)
-    def test_syntax_error_no_recover_state_identical(self, mode):
+    @pytest.mark.parametrize("cls", DOCUMENTS)
+    def test_syntax_error_no_recover_state_identical(self, cls):
         from repro.parser.iglr import ParseError
 
-        doc = _edited_doc(mode)
+        doc = _edited_doc(cls)
         doc.insert(0, ")")
         before = fingerprint(doc)
         with pytest.raises(ParseError):
@@ -172,12 +168,11 @@ class TestJournalVsSnapshotSideBySide:
             (0, 2, "y"),
         ]
         results = {}
-        for mode in MODES:
+        for cls in DOCUMENTS:
             lang = calc_language() if balanced else LANG
-            doc = Document(
+            doc = cls(
                 lang,
                 "a = 1; b = 2; c = 3;",
-                transaction=mode,
                 balanced_sequences=balanced,
             )
             doc.parse()
@@ -195,8 +190,8 @@ class TestJournalVsSnapshotSideBySide:
                     )
                 )
             assert validate_document(doc) == []
-            results[mode] = log
-        assert results["journal"] == results["snapshot"]
+            results[cls] = log
+        assert results[Document] == results[SnapshotDocument]
 
 
 class TestJournalEconomy:
@@ -206,10 +201,7 @@ class TestJournalEconomy:
         from repro.langs.generators import generate_calc_program
 
         text = generate_calc_program(256, seed=3)  # ~2k tokens
-        doc = Document(
-            calc_language(), text, transactional=False,
-            balanced_sequences=True,
-        )
+        doc = Document(calc_language(), text, balanced_sequences=True)
         doc.parse()
         offset = text.index("=", len(text) // 2) + 2
         doc.edit(offset, 1, "9")
@@ -230,7 +222,7 @@ class TestJournalEconomy:
         assert snapshot_records >= 20 * journal_records
 
     def test_journal_stack_balanced_after_parses(self):
-        doc = Document(LANG, "a = 1;", transaction="journal")
+        doc = Document(LANG, "a = 1;")
         doc.parse()
         doc.insert(0, "(((")
         doc.parse()  # recovery ladder opens and closes nested journals
@@ -241,29 +233,3 @@ class TestJournalEconomy:
         doc.parse()
         assert active_count() == 0
 
-
-class TestModeResolution:
-    def test_default_is_journal(self, monkeypatch):
-        monkeypatch.delenv("REPRO_TXN", raising=False)
-        assert resolve_transaction_mode() == "journal"
-        assert Document(LANG, "").transaction_mode == "journal"
-
-    def test_env_selects_snapshot(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TXN", "snapshot")
-        assert Document(LANG, "").transaction_mode == "snapshot"
-
-    def test_explicit_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TXN", "snapshot")
-        assert (
-            Document(LANG, "", transaction="journal").transaction_mode
-            == "journal"
-        )
-
-    def test_transactional_false_is_none(self):
-        doc = Document(LANG, "", transactional=False)
-        assert doc.transaction_mode == "none"
-        assert not doc.transactional
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError):
-            Document(LANG, "", transaction="bogus")
