@@ -27,7 +27,8 @@ Commands:
   JSON-lines requests on stdio (default) or ``--tcp HOST:PORT``; see
   docs/SERVICE.md for the protocol, backpressure and eviction policy.
   ``--state-dir DIR`` (or ``REPRO_STATE_DIR``) makes sessions durable:
-  snapshotted on flush/eviction/shutdown, rehydrated lazily after a
+  each flush appends a log record to the session's snapshot, eviction
+  and shutdown write checkpoints, and sessions rehydrate lazily after a
   restart.  ``--workers N`` shards the session pool across N worker
   processes (one core each); dead workers are respawned and their
   sessions rehydrate from the shared state dir.
@@ -430,7 +431,8 @@ def cmd_sessions(args: argparse.Namespace) -> int:
         print(
             f"  {entry['name']:24s} {entry['language']:10s} "
             f"v{entry['version']:<5d} {entry['text_bytes']:>8d} chars  "
-            f"{entry['journal_edits']} tail edit(s)  [{warm}]"
+            f"{entry['journal_edits']} tail edit(s), "
+            f"{entry['log_records']} log record(s)  [{warm}]"
         )
     for path in bad:
         print(f"  quarantined: {path.name}")

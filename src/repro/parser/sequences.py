@@ -10,16 +10,17 @@ internal structure.  A spine grown *on top of* a reused sequence node
 rebuilding it.
 
 **Repair** (before parsing): when every modification since the last
-parse falls inside elements of one balanced sequence, the affected
-element range -- widened by one element on each side to re-validate
-left and right context -- is reparsed *in isolation* with a fragment
-table rooted at the sequence symbol, then spliced back in O(lg n).
-The surrounding tree is never touched and the main parser never runs.
-This is sound under the paper's stated sequence assumptions (elements
-have bounded dependence on surrounding context); the implementation
-additionally *checks* the boundary elements: the reparsed copies of the
-two unchanged guard elements must come out token-identical, otherwise
-the repair is abandoned and the ordinary incremental parse runs.
+parse falls inside one region of elements of one balanced sequence,
+the affected element range -- widened by one element on each side to
+re-validate left and right context -- is reparsed *in isolation* with
+a fragment table rooted at the sequence symbol, then spliced back in
+O(lg n).  The surrounding tree is never touched and the main parser
+never runs.  This is sound under the paper's stated sequence
+assumptions (elements have bounded dependence on surrounding context);
+the implementation additionally *checks* the boundary elements: the
+reparsed copies of the two unchanged guard elements must come out
+token-identical, otherwise the repair is abandoned and the ordinary
+incremental parse runs.
 """
 
 from __future__ import annotations
@@ -207,9 +208,10 @@ def attempt_sequence_repair(document) -> RepairOutcome | None:
     """Try to absorb all pending modifications by one sequence splice.
 
     Returns None when the fast path does not apply (sites outside
-    sequences, multiple sequences touched, range reaching the sequence
-    tail, fragment reparse failure, or guard-element mismatch); the
-    caller then runs the ordinary incremental parse.
+    sequences, multiple sequences or damaged regions touched, range
+    reaching the sequence tail, fragment reparse failure, or
+    guard-element mismatch); the caller then runs the ordinary
+    incremental parse.
     """
     with obs.span("parse.seq_repair"):
         outcome = _attempt_sequence_repair(document)
@@ -265,6 +267,14 @@ def _attempt_sequence_repair(document) -> RepairOutcome | None:
     try:
         indices = [seq.item_index_of(item) for _, item in located]
     except ValueError:
+        return None
+    # One damaged region per repair.  Between two regions further apart
+    # than a shared guard element lie undamaged elements the fragment
+    # parse would rebuild -- for edits scattered across a document,
+    # nearly all of it -- while the ordinary incremental parse reuses
+    # them as subtrees.
+    ordered = sorted(set(indices))
+    if any(right - left > 2 for left, right in zip(ordered, ordered[1:])):
         return None
     # Guard elements: one unchanged element on each side re-validates
     # boundary context.  At the sequence's start there is no left guard

@@ -18,12 +18,20 @@ and re-opens with its own buffer -- the authoritative text always lives
 client-side (see `repro.service.session`).
 
 With a :class:`~repro.service.persist.SnapshotStore` attached, eviction
-and shutdown stop being lossy: sessions are snapshotted before they go
-(and after every flush, write-ahead of the reply), an unknown session
+and shutdown stop being lossy: every flush is persisted write-ahead of
+its reply, sessions are checkpointed before they go, an unknown session
 name is *rehydrated* from its snapshot on the next request, and a
 saturated pool may snapshot-and-force-evict the least-recently-used
 *quiesced* session (parked on a deferred batch) instead of refusing
 with ``capacity`` outright.
+
+The write-ahead save costs the edit, not the document: a flush appends
+one log record to the session's snapshot file, and a full checkpoint
+(the pickled parse DAG) is written only when there is no warm
+checkpoint on disk yet, on the forced paths (``snapshot`` op, grammar
+reload, forced eviction, shutdown), on idle eviction of a session with
+a non-empty log, when the log is full (:data:`LOG_LIMIT`), or when the
+store refuses the append.
 """
 
 from __future__ import annotations
@@ -35,7 +43,7 @@ from ..language import Language
 from ..langs import get_language
 from ..semantics.project import ProjectGraph
 from ..testing.faults import crash_point, register_points
-from .persist import SnapshotStore
+from .persist import LOG_LIMIT, SnapshotStore
 from .session import Session
 
 register_points(**{
@@ -212,7 +220,10 @@ class SessionManager:
                 continue
             if self.store is not None:
                 crash_point("persist:evict")
-                self._persist_session(session)
+                # A non-empty log is compacted into a checkpoint, so a
+                # session evicted and rehydrated again and again replays
+                # nothing.
+                self._persist_session(session, force=session.log_records > 0)
             self._drop(name, session, "evictions", "service.evictions")
             return True
         if self.store is None:
@@ -240,28 +251,43 @@ class SessionManager:
     # -- persistence ----------------------------------------------------------
 
     def _persist_session(self, session: Session, force: bool = False) -> bool:
-        """Snapshot one session to the store; never raises.
+        """Make the store hold the session's text; never raises.
 
-        Deduped on ``(committed version, shadow text)`` so the
-        after-every-flush write-ahead hook does one save per state, not
-        one per request, and evict/shutdown saves of an already-current
-        session are free.
+        Unless forced, nothing is written when the store already holds
+        the text on a warm checkpoint, and a change is appended as one
+        log record.  A checkpoint is written instead when forced, when
+        there is no warm checkpoint on disk, when the log is full, or
+        when the store refuses the append.  Returns False only when
+        nothing could be saved.
         """
         if self.store is None:
             return False
-        marker = (
-            session.doc.version if session.doc is not None else 0,
-            session.shadow_text,
-        )
-        if not force and session._persist_marker == marker:
-            return True
+        text = session.shadow_text
+        persisted = session.persisted_text  # None: no warm checkpoint
+        if not force and persisted is not None:
+            if text == persisted:
+                return True
+            if session.log_records < LOG_LIMIT:
+                try:
+                    self.store.append(session.name, persisted, text)
+                except Exception:
+                    # File missing or rewritten, or I/O failed: the
+                    # checkpoint below replaces whatever is there.
+                    obs.incr("persist.append_refused")
+                else:
+                    session.persisted_text = text
+                    session.log_records += 1
+                    return True
         try:
             snapshot = session.make_snapshot()
             self.store.save(snapshot)
         except Exception:
             obs.incr("persist.hook_errors")
+            session.persisted_text = None
             return False
-        session._persist_marker = marker
+        warm = snapshot.doc_payload is not None
+        session.persisted_text = snapshot.text if warm else None
+        session.log_records = 0
         return True
 
     def _language_for_snapshot(self, snapshot) -> Language:
@@ -340,6 +366,11 @@ class SessionManager:
         self._wire_semantics(session)
         with obs.span("persist.rehydrate", doc=name):
             session.restore_from(snapshot)
+        if session.doc is not None:
+            # Warm: the store holds exactly this state, so the next
+            # change appends to its log instead of re-checkpointing.
+            session.persisted_text = snapshot.text
+            session.log_records = snapshot.log_records
         self._sessions[name] = session
         self.counts["rehydrated"] += 1
         obs.incr("service.rehydrated")

@@ -50,12 +50,16 @@ spec lists transforming ``flushed_text`` (the last text the document
 committed) into ``shadow_text``.  A successful flush advances
 ``flushed_text`` and drops the covered entries; a rung-3 failure leaves
 them pending, so the journal stays exact across degradation.
-:meth:`Session.make_snapshot` captures ``(text, version, journal tail,
-pickled committed DAG when healthy)`` and :meth:`Session.restore_from`
-replays the tail over the restored DAG -- one incremental pass -- with a
-text-only batch-rebuild fallback at every failure point.  The
-``on_persist`` hook (wired by the manager to the snapshot store) runs
-*before* replies resolve, so an acked batch is a persisted batch.
+:meth:`Session.make_snapshot` captures a checkpoint -- ``(text, version,
+journal tail, pickled committed DAG when healthy)`` -- and
+:meth:`Session.restore_from` replays the tail over the restored DAG --
+one incremental pass -- with a text-only batch-rebuild fallback at every
+failure point.  The ``on_persist`` hook (wired by the manager to the
+snapshot store) runs *before* replies resolve, so an acked batch is a
+persisted batch; it usually appends one log record for the batch's text
+change, and the store's load folds that log into the journal tail
+``restore_from`` replays.  ``persisted_text`` and ``log_records`` are
+the manager's bookkeeping of what the store holds.
 """
 
 from __future__ import annotations
@@ -176,7 +180,11 @@ class Session:
         self.pending_specs: list[tuple[int, list[EditSpec]]] = []
         self._seq = 0
         self._parked = False  # worker awaiting input with a deferred batch
-        self._persist_marker = None  # manager's last-saved dedup key
+        # Manager's record of the session's snapshot file: the text it
+        # holds (None until a warm checkpoint is on disk) and how many
+        # log records follow that checkpoint.
+        self.persisted_text: str | None = None
+        self.log_records = 0
         self.restored = False  # session came back from a snapshot
         self.grammar_source: str | None = None  # inline DSL (manager sets)
         # Per-session work counters, kept unconditionally (obs may be
@@ -660,7 +668,7 @@ class Session:
             )
             return False
         if self._on_persist is not None:
-            self._on_persist(self)  # marker-deduped: no-op when unchanged
+            self._on_persist(self)  # no-op when the text is already stored
         reply = ok_reply(work.rid, **fields)
         if work.echo_text:
             reply["text"] = self.doc.text
@@ -771,7 +779,7 @@ class Session:
     # -- durability -----------------------------------------------------------
 
     def make_snapshot(self) -> SessionSnapshot:
-        """Capture the session's durable form.
+        """Capture the session's durable form: a full checkpoint.
 
         The journal tail (``flushed_text`` -> ``shadow_text``) is
         verified by replay before it is trusted; the pickled document
@@ -835,12 +843,14 @@ class Session:
     def restore_from(self, snapshot: SessionSnapshot) -> None:
         """Rehydrate from a snapshot: one incremental pass, not a rebuild.
 
-        Restores the committed DAG, replays the journal tail, and runs a
-        single incremental parse.  *Any* failure falls back to text-only
-        state -- the next request's flush finds ``doc is None`` and runs
-        the ordinary degradation ladder, so a bad payload costs a batch
-        reparse, never a crash.  Counters restart at zero (the manager's
-        retirement accounting already folded the old life in).
+        Restores the committed DAG, replays the journal tail (the
+        checkpoint's own tail, then the log records the store folded in,
+        one edit each), and runs a single incremental parse.  *Any*
+        failure falls back to text-only state -- the next request's
+        flush finds ``doc is None`` and runs the ordinary degradation
+        ladder, so a bad payload costs a batch reparse, never a crash.
+        Counters restart at zero (the manager's retirement accounting
+        already folded the old life in).
         """
         crash_point("persist:rehydrate")
         self.shadow_text = snapshot.text

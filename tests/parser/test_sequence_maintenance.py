@@ -115,6 +115,30 @@ class TestRepairApplicability:
         assert outcome.items_replaced >= 1
         assert doc.source_text() == "a = 1; b = 9; c = 3; d = 4;"
 
+    def test_repair_covers_nearby_damage(self):
+        doc = balanced("a = 1; b = 2; c = 3; d = 4; e = 5; f = 6;")
+        doc.edit(doc.text.index("2"), 1, "7")
+        doc.edit(doc.text.index("4"), 1, "8")  # one guard apart
+        assert attempt_sequence_repair(doc) is not None
+        assert doc.source_text() == "a = 1; b = 7; c = 3; d = 8; e = 5; f = 6;"
+
+    def test_repair_declines_for_distant_damaged_regions(self):
+        """Two regions with undamaged elements between them: reparsing
+        the span would rebuild those elements, so the ordinary parse
+        (which reuses them) runs instead."""
+        text = " ".join(f"{name} = 1;" for name in "abcdefghij")
+        doc = balanced(text)
+        items_before = doc.body.kids[0].items()
+        doc.edit(doc.text.index("b ="), 1, "x")
+        doc.edit(doc.text.index("h ="), 1, "y")
+        assert attempt_sequence_repair(doc) is None
+        doc.parse()
+        assert doc.source_text() == text.replace("b =", "x =").replace(
+            "h =", "y ="
+        )
+        # The undamaged elements between the regions were reused.
+        assert doc.body.kids[0].items()[4] is items_before[4]
+
     def test_repair_declines_without_pending_changes(self):
         doc = balanced("a = 1; b = 2; c = 3;")
         assert attempt_sequence_repair(doc) is None

@@ -14,7 +14,10 @@ the recovery contract *differentially* against the client's own view:
 * the restarted service is fully live: it answers, accepts edits, and
   shuts down cleanly.
 
-Kill points cover the save path (capture/serialize/write/publish), the
+Kill points cover the per-flush append (before and after the record's
+write), the checkpoint path (capture/serialize/write/publish: the
+open's first checkpoint, and with ``:2`` the graceful-shutdown
+checkpoint, since every edit in between appends), the
 graceful-shutdown snapshot, and -- killing the *second* process during
 recovery -- the load/rehydrate path, which a third process must then
 survive.
@@ -154,6 +157,10 @@ SAVE_PATH_KILLS = [
     "persist:publish:2",
     "persist:capture:0",  # die on the very first save: open never acked
     "persist:shutdown:0",  # die snapshotting during graceful shutdown
+    "persist:append:0",  # first edit's record never written: not acked
+    "persist:appended:0",  # first edit's record on disk, reply not sent
+    "persist:append:2",  # third edit, on top of a two-record log
+    "persist:appended:2",
 ]
 
 

@@ -1,6 +1,6 @@
-"""Durable session snapshots: store, rehydration, eviction, corruption.
+"""Durable session snapshots: store, log, rehydration, eviction, corruption.
 
-Four contracts from the persistence design:
+Five contracts from the persistence design:
 
 * **round trip** -- a snapshotted session rehydrates with byte-identical
   text and a *warm* document (recovery is one incremental pass over the
@@ -11,6 +11,10 @@ Four contracts from the persistence design:
 * **eviction is no longer lossy** -- LRU eviction snapshots first, and a
   saturated pool force-evicts the LRU *quiesced* (parked) session
   instead of refusing with ``capacity``;
+* **the write-ahead save costs the edit** -- a flush appends one log
+  record; a checkpoint is written only where the manager's rules ask
+  for one, a torn final record is dropped, any other bad record
+  quarantines the file, and recovery from a full log stays warm;
 * **the dispatcher survives late replies** -- a worker answering after
   the request deadline neither wedges the dispatcher nor double-counts
   the timeout.
@@ -29,7 +33,7 @@ from repro.service import (
     SessionManager,
     SnapshotStore,
 )
-from repro.service.persist import _HEADER, FORMAT, MAGIC
+from repro.service.persist import _HEADER, _RECORD, FORMAT, LOG_LIMIT, MAGIC
 from repro.testing import inject
 
 pytestmark = [pytest.mark.service, pytest.mark.persistence]
@@ -552,7 +556,9 @@ class TestPersistFaults:
     )
     def test_save_crash_never_fails_the_batch(self, tmp_path, point):
         """The write-ahead hook absorbs any save failure: the reply
-        still lands, the old snapshot (if any) is untouched."""
+        still lands, the old snapshot (if any) is untouched.  The
+        append fails too, so the batch's save is the checkpoint the
+        hook falls back to."""
         store = make_store(tmp_path)
 
         async def go():
@@ -560,7 +566,7 @@ class TestPersistFaults:
             session = await open_session(manager, "d", "a = 1;")
             before = store.load("d")
             assert before is not None and before.text == "a = 1;"
-            with inject(point):
+            with inject([point, "persist:append"]):
                 reply = await session.submit_edits(1, [EditSpec(4, 1, "7")])
             assert reply["ok"], reply  # the batch is not the victim
             # The store still holds a *valid* snapshot of one of the two
@@ -572,6 +578,29 @@ class TestPersistFaults:
             # Next flush (no fault) catches the store up.
             reply = await session.submit_edits(2, [EditSpec(0, 1, "b")])
             assert reply["ok"]
+            assert store.load("d").text == "b = 7;"
+            manager.close_all(snapshot=False)
+
+        run(go())
+
+    @pytest.mark.parametrize("point", ["persist:append", "persist:appended"])
+    def test_append_crash_falls_back_to_checkpoint(self, tmp_path, point):
+        """A failed append (before or after its write) never fails the
+        batch: the hook writes a checkpoint of the new text instead."""
+        store = make_store(tmp_path)
+
+        async def go():
+            manager = SessionManager(store=store)
+            session = await open_session(manager, "d", "a = 1;")
+            with inject(point):
+                reply = await session.submit_edits(1, [EditSpec(4, 1, "7")])
+            assert reply["ok"], reply
+            assert store.counts["saves"] == 2
+            snap = store.load("d")
+            assert snap.text == "a = 7;" and snap.log_records == 0
+            # The log resumes on the new checkpoint.
+            reply = await session.submit_edits(2, [EditSpec(0, 1, "b")])
+            assert reply["ok"] and store.counts["appends"] == 1
             assert store.load("d").text == "b = 7;"
             manager.close_all(snapshot=False)
 
@@ -627,6 +656,250 @@ class TestPersistFaults:
             await service.aclose()
 
         run(go())
+
+
+# -- the write-ahead log -------------------------------------------------------
+
+
+def checkpoint_with_log(tmp_path, edits):
+    """A store holding ``d``: a checkpoint of "a = 1; b = 2;" followed
+    by one appended record per ``(at, remove, insert)`` in ``edits``.
+    Returns the store and the text after each record."""
+    store = make_store(tmp_path)
+
+    async def go():
+        manager = SessionManager(store=store)
+        session = await open_session(manager, "d", "a = 1; b = 2;")
+        texts = []
+        for i, edit in enumerate(edits):
+            reply = await session.submit_edits(
+                i, [EditSpec(*edit)], echo_text=True
+            )
+            assert reply["ok"], reply
+            texts.append(reply["text"])
+        manager.close_all(snapshot=False)
+        return texts
+
+    texts = run(go())
+    assert store.counts["saves"] == 1
+    assert store.counts["appends"] == len(edits)
+    return store, texts
+
+
+def record_offsets(path):
+    """Byte offset of every log record in a snapshot file."""
+    blob = path.read_bytes()
+    offset = _HEADER.size + _HEADER.unpack_from(blob)[2]
+    offsets = []
+    while offset < len(blob):
+        offsets.append(offset)
+        offset += _RECORD.size + _RECORD.unpack_from(blob, offset)[0]
+    return offsets
+
+
+class TestWriteAheadLog:
+    def test_flush_appends_one_record_not_a_checkpoint(self, tmp_path):
+        store, texts = checkpoint_with_log(
+            tmp_path, [(4, 1, "7"), (11, 1, "8")]
+        )
+        snap = store.load("d")
+        assert snap.text == texts[-1] == "a = 7; b = 8;"
+        assert snap.log_records == 2
+        assert snap.base_text == "a = 1; b = 2;"
+        assert snap.journal_tail == [(4, 1, "7"), (11, 1, "8")]
+        (entry,) = store.entries()
+        assert entry["log_records"] == 2 and entry["warm"]
+
+    def test_sessions_list_reports_log_records(self, tmp_path, capsys):
+        from repro.cli import build_parser
+
+        store, _ = checkpoint_with_log(tmp_path, [(4, 1, "7")])
+        args = build_parser().parse_args(
+            ["sessions", "--state-dir", str(store.directory), "--list"]
+        )
+        assert args.func(args) == 0
+        assert "1 log record(s)" in capsys.readouterr().out
+
+    def test_truncated_final_record_is_dropped_and_counted(self, tmp_path):
+        store, texts = checkpoint_with_log(
+            tmp_path, [(4, 1, "7"), (11, 1, "8")]
+        )
+        path = store.path_for("d")
+        last = record_offsets(path)[-1]
+        path.write_bytes(path.read_bytes()[:-3])  # a torn append
+        snap = store.load("d")
+        assert snap is not None and snap.text == texts[0]
+        assert snap.log_records == 1
+        assert store.counts["torn_records"] == 1
+        assert store.counts["quarantined"] == 0
+        # The torn bytes are cut off, so the log can grow again.
+        assert path.stat().st_size == last
+        store.append("d", snap.text, "a = 7; b = 9;")
+        again = store.load("d")
+        assert again.text == "a = 7; b = 9;" and again.log_records == 2
+        assert store.counts["torn_records"] == 1
+
+    def test_flipped_byte_in_non_final_record_quarantines(self, tmp_path):
+        store, _ = checkpoint_with_log(tmp_path, [(4, 1, "7"), (11, 1, "8")])
+        path = store.path_for("d")
+        first, second = record_offsets(path)
+        blob = bytearray(path.read_bytes())
+        blob[second - 1] ^= 0xFF  # last byte of the first record
+        path.write_bytes(bytes(blob))
+        assert store.load("d") is None
+        assert store.counts["quarantined"] == 1
+        assert store.counts["torn_records"] == 0
+        assert not path.exists() and len(store.quarantined_files()) == 1
+
+    def test_record_that_does_not_chain_quarantines(self, tmp_path):
+        store, _ = checkpoint_with_log(tmp_path, [(4, 1, "7")])
+        # A well-formed record computed against the wrong text: its
+        # splice applies, but the text it yields has another digest.
+        store.load("d")
+        store.append("d", "z = 7; b = 2;", "z = 7; b = 5;")
+        assert store.load("d") is None
+        assert store.counts["quarantined"] == 1
+
+    def test_append_refused_when_file_missing_or_resized(self, tmp_path):
+        store = make_store(tmp_path)
+        with pytest.raises(OSError):
+            store.append("d", "a = 1;", "a = 2;")  # no file at all
+
+        async def go():
+            manager = SessionManager(store=store)
+            session = await open_session(manager, "d", "a = 1;")
+            assert store.counts["saves"] == 1
+            # Another writer rewrites the file behind this process.
+            SnapshotStore(store.directory).save(session.make_snapshot())
+            with pytest.raises(OSError):
+                store.append("d", "a = 1;", "a = 2;")
+            # The hook's append is refused the same way; it checkpoints.
+            reply = await session.submit_edits(1, [EditSpec(4, 1, "7")])
+            assert reply["ok"]
+            assert store.counts["saves"] == 2
+            assert store.counts["appends"] == 0
+            assert store.load("d").text == "a = 7;"
+            # A vanished file is refused too, and checkpointed again.
+            store.path_for("d").unlink()
+            reply = await session.submit_edits(2, [EditSpec(4, 1, "8")])
+            assert reply["ok"]
+            assert store.counts["saves"] == 3
+            assert store.counts["appends"] == 0
+            snap = store.load("d")
+            assert snap.text == "a = 8;" and snap.log_records == 0
+            manager.close_all(snapshot=False)
+
+        run(go())
+
+    def test_append_past_log_limit_becomes_checkpoint(self, tmp_path):
+        store = make_store(tmp_path)
+
+        async def go():
+            manager = SessionManager(store=store)
+            session = await open_session(manager, "d", "a = 10;")
+            for i in range(LOG_LIMIT):
+                reply = await session.submit_edits(
+                    i, [EditSpec(4, 2, str(11 + i))]
+                )
+                assert reply["ok"]
+            assert store.counts["saves"] == 1
+            assert store.counts["appends"] == LOG_LIMIT
+            assert store.load("d").log_records == LOG_LIMIT
+            reply = await session.submit_edits(99, [EditSpec(4, 2, "99")])
+            assert reply["ok"]
+            assert store.counts["saves"] == 2
+            assert store.counts["appends"] == LOG_LIMIT
+            snap = store.load("d")
+            assert snap.text == "a = 99;" and snap.log_records == 0
+            manager.close_all(snapshot=False)
+
+        run(go())
+
+    def test_idle_eviction_compacts_a_non_empty_log(self, tmp_path):
+        store = make_store(tmp_path)
+
+        async def go():
+            manager = SessionManager(max_sessions=1, store=store)
+            one = await open_session(manager, "one", "a = 1;")
+            reply = await one.submit_edits(1, [EditSpec(4, 1, "7")])
+            assert reply["ok"] and store.counts["appends"] == 1
+            assert store.counts["saves"] == 1
+            await open_session(manager, "two", "b = 2;")  # evicts "one"
+            assert "one" not in manager
+            # One checkpoint for the eviction of "one", one for "two".
+            assert store.counts["saves"] == 3
+            snap = store.load("one")
+            assert snap.text == "a = 7;" and snap.log_records == 0
+            manager.close_all(snapshot=False)
+
+        run(go())
+
+    def test_rehydration_churn_without_edits_saves_nothing(self, tmp_path):
+        """A rehydrated session's store already holds its state: read-only
+        traffic that rehydrates and evicts over and over writes nothing."""
+        state = tmp_path / "state"
+
+        async def go():
+            service = AnalysisService(state_dir=state, max_sessions=2)
+            names = ["one", "two", "three"]
+            for i, name in enumerate(names):
+                reply = await service.handle(
+                    {"op": "open", "id": i, "doc": name, "language": "calc",
+                     "text": f"a = {i};"}
+                )
+                assert reply["ok"]
+            saves = service.store.counts["saves"]
+            rehydrated = 0
+            for i in range(30):
+                name = names[i % 3]
+                reply = await service.handle(
+                    {"op": "query", "id": 10 + i, "doc": name,
+                     "echo_text": True}
+                )
+                assert reply["ok"] and reply["text"] == f"a = {i % 3};"
+                rehydrated += bool(reply.get("rehydrated"))
+            assert rehydrated >= 28  # the pool of 2 really churned
+            assert service.store.counts["saves"] == saves
+            await service.aclose()
+
+        run(go())
+
+    def test_warm_rehydration_from_a_full_log(self, tmp_path):
+        """A checkpoint plus LOG_LIMIT scattered records rehydrates to
+        byte-identical text with one incremental pass, no rebuild."""
+        store = make_store(tmp_path)
+        text = " ".join(f"x{i} = {i % 10};" for i in range(3 * LOG_LIMIT))
+        sites = [
+            text.index(f"x{i} = ") + len(f"x{i} = ")
+            for i in range(0, 3 * LOG_LIMIT, 3)
+        ]
+
+        async def first_life():
+            manager = SessionManager(store=store)
+            session = await open_session(manager, "d", text)
+            for i, site in enumerate(reversed(sites)):
+                reply = await session.submit_edits(
+                    i, [EditSpec(site, 1, str((i + 5) % 10) * 2)]
+                )
+                assert reply["ok"]
+            expected = session.shadow_text
+            manager.close_all(snapshot=False)
+            return expected
+
+        expected = run(first_life())
+        assert store.load("d").log_records == LOG_LIMIT
+
+        async def second_life():
+            manager = SessionManager(store=store)
+            session = manager.rehydrate("d")
+            assert session is not None and session.doc is not None
+            assert session.doc.text == expected
+            assert session.doc.source_text() == expected
+            assert session.counts["rebuilds"] == 0
+            assert session.log_records == LOG_LIMIT
+            manager.close_all(snapshot=False)
+
+        run(second_life())
 
 
 # -- late replies (timeout race) -----------------------------------------------

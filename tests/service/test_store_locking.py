@@ -138,31 +138,51 @@ def test_two_process_hammer(tmp_path):
     assert final.text.startswith(f"x = {final.version};")
 
 
-def test_stale_claim_from_dead_writer(tmp_path):
+WRITES = ["save", "append"]
+
+
+def prepare(store: SnapshotStore, write: str):
+    """Set up ``write`` on session "doc"; returns (do it, text after).
+
+    An append needs a checkpoint to extend, written before the test
+    plants its claim file.
+    """
+    if write == "save":
+        return lambda: store.save(make_snapshot("doc", 2)), "x = 2;"
+    store.save(make_snapshot("doc", 1))
+    return lambda: store.append("doc", "x = 1;", "x = 2;"), "x = 2;"
+
+
+@pytest.mark.parametrize("write", WRITES)
+def test_stale_claim_from_dead_writer(tmp_path, write):
     """A claim left by a killed process is cleaned up, not a conflict."""
     store = SnapshotStore(tmp_path)
+    do_write, text = prepare(store, write)
     claim = store.path_for("doc").with_suffix(".claim")
     # A pid that cannot be alive: fork a child and wait for it to exit.
     proc = subprocess.Popen([sys.executable, "-c", "pass"])
     proc.wait()
     claim.write_text(str(proc.pid))
-    store.save(make_snapshot("doc", 1))
+    do_write()
     assert store.counts["stale_claims"] == 1
     assert store.counts["save_conflicts"] == 0
     assert not claim.exists()
-    assert store.load("doc").version == 1
+    assert store.load("doc").text == text
 
 
-def test_live_claim_counts_conflict(tmp_path):
+@pytest.mark.parametrize("write", WRITES)
+def test_live_claim_counts_conflict(tmp_path, write):
     """A claim naming a live pid is the alarm case: counted, not fatal."""
     store = SnapshotStore(tmp_path)
+    do_write, text = prepare(store, write)
     claim = store.path_for("doc").with_suffix(".claim")
     claim.write_text(str(os.getpid()))
-    store.save(make_snapshot("doc", 2))
+    do_write()
     assert store.counts["save_conflicts"] == 1
     assert store.counts["stale_claims"] == 0
-    # The save still went through -- atomic publish keeps bytes safe.
-    assert store.load("doc").version == 2
+    # The write still went through -- atomic publish and verified
+    # appends keep the bytes safe.
+    assert store.load("doc").text == text
 
 
 def test_gc_sweeps_dead_claims(tmp_path):

@@ -5,15 +5,19 @@ subprocess (``fault_env`` arms only that shard's *first* life, so the
 respawn comes up clean).  The scripted session then is:
 
 1. ``open`` -- acked, and therefore durable (write-ahead: persist runs
-   before replies resolve);
+   before replies resolve; the open writes the first checkpoint);
 2. ``stats`` -- scrapes the doomed worker's counters into the
    dispatcher's last-known view;
-3. ``edit`` -- the worker is murdered during this request's snapshot
-   save; the client gets the ``worker-restart`` flow-control error;
+3. the killed request -- the client gets the ``worker-restart``
+   flow-control error.  Either the ``edit`` dies while appending its
+   log record (``persist:append`` before the write, so recovery lands
+   on the open text; ``persist:appended`` after it, so either text is
+   legitimate), or the edit is acked and a ``snapshot`` op dies while
+   writing its checkpoint (``persist:write`` before publish,
+   ``persist:publish`` after; the acked edit survives either way, in
+   the old file's log or in the new checkpoint);
 4. retry ``query`` until the respawned worker answers: the rehydrated
-   text must be byte-identical to an *acked-or-later* state --
-   ``persist:write`` dies before publish (recover the open text),
-   ``persist:publish`` dies after (either text is legitimate);
+   text must be byte-identical to an *acked-or-later* state;
 5. retry the edit: the recovered session keeps editing incrementally;
 6. ``stats`` again: exactly one restart, generation bumped, and the
    merged counters never moved backwards (the retired-fold fix for
@@ -37,11 +41,17 @@ pytestmark = [
 ARMED_SHARD = 0
 RETRY_DEADLINE = 30.0
 
-# crash point -> texts a recovery may legitimately land on, given the
-# open text "x = 1;" was acked and the edit to "x = 9;" was not.
+# (armed kill, killed op, texts a recovery may legitimately land on).
+# The open's checkpoint is the first arrival at the checkpoint points,
+# so ":1" arms the snapshot op's; the edit's append is the first
+# arrival at the append points.
 CASES = [
-    pytest.param("persist:write", {"x = 1;"}, id="write"),
-    pytest.param("persist:publish", {"x = 1;", "x = 9;"}, id="publish"),
+    pytest.param("persist:append:0", "edit", {"x = 1;"}, id="append"),
+    pytest.param(
+        "persist:appended:0", "edit", {"x = 1;", "x = 9;"}, id="appended"
+    ),
+    pytest.param("persist:write:1", "snapshot", {"x = 9;"}, id="write"),
+    pytest.param("persist:publish:1", "snapshot", {"x = 9;"}, id="publish"),
 ]
 
 
@@ -65,16 +75,16 @@ async def retry_until_ok(service, request: dict) -> dict:
         await asyncio.sleep(0.1)
 
 
-@pytest.mark.parametrize("point,allowed_texts", CASES)
-def test_killed_worker_respawns_and_recovers(tmp_path, point, allowed_texts):
+@pytest.mark.parametrize("crash_at,killed_op,allowed_texts", CASES)
+def test_killed_worker_respawns_and_recovers(
+    tmp_path, crash_at, killed_op, allowed_texts
+):
     async def go():
         service = ShardDispatcher(
             2,
             request_timeout=30.0,
             state_dir=tmp_path / "state",
-            # Second arrival at the point: the open's save passes (so
-            # the open is durably acked), the edit's save is the kill.
-            fault_env={ARMED_SHARD: {"REPRO_CRASH_AT": f"{point}:1"}},
+            fault_env={ARMED_SHARD: {"REPRO_CRASH_AT": crash_at}},
         )
         doc = owned_doc(ARMED_SHARD, 2)
 
@@ -87,10 +97,16 @@ def test_killed_worker_respawns_and_recovers(tmp_path, point, allowed_texts):
         before = (await service.handle({"op": "stats", "id": 1}))["stats"]
         assert before["counters"]["opened"] == 1
 
-        crashed = await service.handle(
-            {"op": "edit", "id": 2, "doc": doc,
-             "edits": [{"at": 4, "remove": 1, "insert": "9"}]}
-        )
+        edit = {"op": "edit", "id": 2, "doc": doc,
+                "edits": [{"at": 4, "remove": 1, "insert": "9"}]}
+        if killed_op == "edit":
+            crashed = await service.handle(edit)
+        else:
+            acked = await service.handle(edit)
+            assert acked["ok"], acked
+            crashed = await service.handle(
+                {"op": killed_op, "id": 6, "doc": doc}
+            )
         assert not crashed["ok"], crashed
         assert crashed["error"]["code"] == "worker-restart"
         assert crashed["error"].get("retry") or crashed.get("retry")
