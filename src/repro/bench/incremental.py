@@ -9,13 +9,17 @@ produces the canonical machine-readable benchmark artifact for the
   one representative edit cycle;
 * **batch reparse time** at each size, for the incremental-vs-batch
   comparison, with power-law scaling exponents for both curves;
+* **one wide edit** per language on the largest document: a single
+  edit that rewrites the middle 90% of the text (ten digits changed),
+  against a batch parse of the same text;
 * **parse-table acquisition**: cold build (empty cache) vs warm disk
   load vs in-process memory hit, for both the MiniC grammar and the
   real-language-scale FullC grammar.
 
 ``--smoke`` shrinks sizes and repetition counts so the run finishes in
 seconds (CI); ``--check`` exits non-zero when per-edit incremental
-latency fails to beat batch reparse at the largest size.
+latency fails to beat batch reparse at the largest size, or when the
+wide edit costs more than :data:`WIDE_EDIT_LIMIT` batch parses.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from ..langs.generators import (
 from ..tables import cache as table_cache
 from ..versioned.document import Document
 from .measure import fit_powerlaw, parse_work, time_fn
-from .workloads import apply_and_cancel, self_cancelling_token_edits
+from .workloads import apply_and_cancel, self_cancelling_token_edits, wide_edit
 
 # (language, generator, sizes).  Sizes are generator units (statements
 # for calc, lines for minic/fullc); token counts are recorded per run.
@@ -50,6 +54,8 @@ FULL_SIZES: dict[str, tuple[Callable[[int], str], list[int]]] = {
         [48, 192, 768],
     ),
 }
+# The most a wide edit may cost, in batch parses of the same text.
+WIDE_EDIT_LIMIT = 2.0
 SMOKE_SIZES: dict[str, tuple[Callable[[int], str], list[int]]] = {
     "calc": (lambda n: generate_calc_program(n, seed=11), [64, 256]),
     "minic": (lambda n: generate_minic(n, seed=11), [60, 240]),
@@ -108,6 +114,15 @@ def _bench_language(
             }
         )
 
+    # The wide edit runs on the largest document: ``doc`` and ``text``
+    # are still the last size's.  Apply and cancel are both wide edits.
+    wide = wide_edit(doc)
+    wide_timing = time_fn(
+        lambda: apply_and_cancel(doc, wide), repeat=repeat, warmup=1
+    )
+    with obs.collecting() as wide_work:
+        apply_and_cancel(doc, wide)
+    wide_seconds = wide_timing.seconds / 2
     tokens = [float(p["tokens"]) for p in points]
     batch_exp = fit_powerlaw(
         tokens, [p["batch_seconds"] for p in points]
@@ -128,6 +143,16 @@ def _bench_language(
             "per_edit_seconds": largest["per_edit_seconds"],
             "speedup_vs_batch": largest["batch_seconds"]
             / largest["per_edit_seconds"],
+        },
+        "wide_edit": {
+            "tokens": largest["tokens"],
+            "replaced_chars": wide.length,
+            "seconds": wide_seconds,
+            "batch_seconds": largest["batch_seconds"],
+            "ratio_vs_batch": wide_seconds / largest["batch_seconds"],
+            "cycle_counters": {
+                k: v for k, v in sorted(wide_work.items()) if v
+            },
         },
     }
 
@@ -212,7 +237,9 @@ def run(
 
 
 def check(report: dict) -> list[str]:
-    """Regression gate: incremental must beat batch at the largest size."""
+    """Regression gate: incremental must beat batch at the largest size,
+    and no single wide edit may cost more than WIDE_EDIT_LIMIT batch
+    parses."""
     problems = []
     for lang in report["languages"]:
         largest = lang["largest"]
@@ -222,6 +249,14 @@ def check(report: dict) -> list[str]:
                 f"({largest['per_edit_seconds']:.6f}s) is not below batch "
                 f"reparse ({largest['batch_seconds']:.6f}s) at "
                 f"{largest['tokens']} tokens"
+            )
+        wide = lang["wide_edit"]
+        if wide["ratio_vs_batch"] > WIDE_EDIT_LIMIT:
+            problems.append(
+                f"{lang['language']}: one wide edit costs "
+                f"{wide['seconds']:.6f}s, {wide['ratio_vs_batch']:.2f}x a "
+                f"batch parse, above the {WIDE_EDIT_LIMIT}x limit at "
+                f"{wide['tokens']} tokens"
             )
     return problems
 
@@ -239,7 +274,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--check",
         action="store_true",
-        help="exit non-zero if incremental does not beat batch",
+        help="exit non-zero if incremental does not beat batch, or a "
+        "wide edit costs more than WIDE_EDIT_LIMIT batch parses",
     )
     parser.add_argument("--edits", type=int, default=None)
     parser.add_argument("--repeat", type=int, default=None)
@@ -262,7 +298,9 @@ def main(argv: list[str] | None = None) -> int:
             f"{largest['batch_seconds'] * 1e3:.2f} ms "
             f"({largest['speedup_vs_batch']:.1f}x), per-edit scaling "
             f"exponent {lang['scaling']['per_edit_exponent']:.2f} "
-            f"(batch {lang['scaling']['batch_exponent']:.2f})"
+            f"(batch {lang['scaling']['batch_exponent']:.2f}), wide edit "
+            f"{lang['wide_edit']['seconds'] * 1e3:.2f} ms "
+            f"({lang['wide_edit']['ratio_vs_batch']:.2f}x batch)"
         )
     for entry in report["tables"]:
         print(
@@ -278,7 +316,10 @@ def main(argv: list[str] | None = None) -> int:
             for problem in problems:
                 print(f"REGRESSION: {problem}", file=sys.stderr)
             return 1
-        print("check passed: incremental beats batch at the largest size")
+        print(
+            "check passed: incremental beats batch at the largest size, "
+            f"and wide edits stay within {WIDE_EDIT_LIMIT}x batch"
+        )
     return 0
 
 

@@ -60,3 +60,27 @@ def apply_and_cancel(doc: Document, edit: TokenEdit) -> None:
     doc.parse()
     doc.edit(edit.offset, len(edit.replacement), original)
     doc.parse()
+
+
+def wide_edit(doc: Document) -> TokenEdit:
+    """One edit that rewrites the middle 90% of the text.
+
+    The replacement is the old middle with the last digit of ten evenly
+    spaced NUM tokens altered, so the text stays valid while relexing
+    replaces every token of the span: a paste over most of the
+    document, or a reformat.
+    """
+    text = doc.text
+    start, end = len(text) // 20, len(text) - len(text) // 20
+    sites = [
+        (offset, length)
+        for offset, length in numeric_token_sites(doc)
+        if start <= offset and offset + length <= end
+    ]
+    if len(sites) < 10:
+        raise ValueError("document has fewer than ten NUM tokens in its middle")
+    middle = list(text[start:end])
+    for offset, length in sites[:: len(sites) // 10][:10]:
+        last = offset + length - 1 - start
+        middle[last] = str((int(middle[last]) + 1) % 10)
+    return TokenEdit(start, end - start, "".join(middle))

@@ -23,14 +23,16 @@ committed tree calls :func:`touch` *before* the first write.  The sites
 are threaded through
 
 * ``repro.dag.nodes`` -- ``replace_kids`` / ``adopt_kids`` /
-  ``SymbolNode.__init__`` / ``SymbolNode.add_choice``;
+  ``SymbolNode.__init__`` / ``SymbolNode.add_choice`` /
+  ``Node.forget_counts``;
 * ``repro.dag.sequences`` -- ``SequenceNode.replace_items`` /
   ``_adopt_spine``;
 * ``repro.parser.iglr`` and ``repro.parser.incremental_lr`` -- terminal
   and retention-pool ``state`` writes;
 * ``repro.parser.sequences`` -- spine-extension ``state`` writes and
   yield-width refresh along ancestor chains;
-* ``repro.versioned.document`` -- the commit re-adoption sweep.
+* ``repro.versioned.document`` -- the commit re-adoption sweep and the
+  count reset of reused nodes.
 
 ``touch`` is also safe (and cheap) for nodes created during the current
 attempt: their restored fields are simply never observed again after a
@@ -68,9 +70,9 @@ class MutationJournal:
     """First-touch undo log over parse-DAG nodes.
 
     Record layout matches ``repro.testing.oracles.DocumentSnapshot``:
-    ``(node, state, parent, n_terms, structure)`` where ``structure`` is
-    the node-kind-specific mutable link bundle (see
-    ``Node._capture_structure``).  Replaying in reverse is therefore
+    ``(node, state, parent, n_terms, n_nodes, n_choices, structure)``
+    where ``structure`` is the node-kind-specific mutable link bundle
+    (see ``Node._capture_structure``).  Replaying in reverse is therefore
     bit-identical to a snapshot restore over the touched region -- the
     differential fault-injection suite asserts exactly that.
     """
@@ -96,6 +98,8 @@ class MutationJournal:
                 node.state,
                 node.parent,
                 node.n_terms,
+                node.n_nodes,
+                node.n_choices,
                 node._capture_structure(),
             )
         )
@@ -107,10 +111,14 @@ class MutationJournal:
         recording from the restored state, so an enclosing transaction
         can roll back again later (the recovery ladder relies on this).
         """
-        for node, state, parent, n_terms, structure in reversed(self._records):
+        for (
+            node, state, parent, n_terms, n_nodes, n_choices, structure
+        ) in reversed(self._records):
             node.state = state
             node.parent = parent
             node.n_terms = n_terms
+            node.n_nodes = n_nodes
+            node.n_choices = n_choices
             node._restore_structure(structure)
         self._seen.clear()
         self._records.clear()

@@ -18,6 +18,12 @@ were active — the paper's "equivalence class of all non-deterministic
 states", which makes any future state-match fail and forces decomposition
 (section 3.3).
 
+Every node also carries two synthesized counts next to ``n_terms``:
+``n_nodes``, the unique nodes of its subtree, and ``n_choices``, the
+live choice points among them.  They are filled lazily, bottom-up, by
+:func:`repro.dag.traversal.census`; :data:`UNKNOWN` marks a count that
+construction or a mutation left to be (re)computed.
+
 Change tracking supports the incremental parser's previous-version
 traversal: ``local_changes`` marks edit sites, ``nested_changes`` marks
 ancestors of edit sites, and ``right_invalid`` marks nodes whose
@@ -43,6 +49,9 @@ NO_STATE = -1
 # shifting it whole -- the same non-reuse discipline as multistate nodes.
 ERROR_SYMBOL = "<error>"
 
+# A synthesized count (``n_nodes``/``n_choices``) not yet computed.
+UNKNOWN = -1
+
 
 class Node:
     """Base class for parse-DAG nodes."""
@@ -51,6 +60,8 @@ class Node:
         "parent",
         "state",
         "n_terms",
+        "n_nodes",
+        "n_choices",
         "local_changes",
         "nested_changes",
         "right_invalid",
@@ -63,6 +74,10 @@ class Node:
         # Terminal count of the yield; fixed at construction.  Used for
         # cover (yield-range) bookkeeping during GLR context merging.
         self.n_terms = 0
+        # Unique nodes and live choice points of the subtree; filled by
+        # census(), reset to UNKNOWN whenever the subtree changes.
+        self.n_nodes = UNKNOWN
+        self.n_choices = UNKNOWN
         self.local_changes = False
         self.nested_changes = False
         self.right_invalid = False
@@ -130,6 +145,15 @@ class Node:
         self.nested_changes = False
         self.right_invalid = False
 
+    def forget_counts(self) -> None:
+        """Mark the synthesized counts unknown: the subtree changed.
+
+        Journaled like every other write, so a rollback restores them.
+        """
+        if self.n_nodes != UNKNOWN:
+            touch(self)
+            self.n_nodes = self.n_choices = UNKNOWN
+
     # -- transactional capture ----------------------------------------------
 
     def _capture_structure(self):
@@ -139,7 +163,8 @@ class Node:
         oracle (``repro.testing.oracles``) so both restore
         byte-identical state.
         Terminals and sequence parts have no mutable structure beyond
-        the (state, parent, n_terms) triple every node carries.
+        the (state, parent, n_terms, n_nodes, n_choices) fields every
+        node carries.
         """
         return None
 
@@ -198,6 +223,8 @@ class TerminalNode(Node):
         super().__init__(state)
         self.token = token
         self.n_terms = 1
+        self.n_nodes = 1
+        self.n_choices = 0
 
     @property
     def symbol(self) -> str:
@@ -252,6 +279,7 @@ class ProductionNode(Node):
         touch(self)
         self._kids = tuple(kids)
         self.n_terms = sum(kid.n_terms for kid in kids)
+        self.forget_counts()
 
     def adopt_kids(self) -> None:
         """Point the children's parent links at this node."""
@@ -317,6 +345,7 @@ class SymbolNode(Node):
             touch(node)
             obs.incr("dag.choice_alternatives")
             self._alternatives.append(node)
+            self.forget_counts()
             node.parent = self
             node.state = NO_STATE  # see __init__: alternatives never match
 
@@ -386,6 +415,7 @@ class ErrorNode(Node):
         touch(self)
         self._kids = tuple(kids)
         self.n_terms = sum(kid.n_terms for kid in self._kids)
+        self.forget_counts()
 
     def adopt_kids(self) -> None:
         for kid in self._kids:

@@ -249,6 +249,7 @@ class SequenceNode(Node):
             self._symbol, _concat(self._symbol, prefix, middle), suffix
         )
         self.n_terms = self._root.n_terms if self._root is not None else 0
+        self.forget_counts()
         self._adopt_spine()
         return _PART_COUNTER[0] - before
 

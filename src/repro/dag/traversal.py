@@ -12,7 +12,8 @@ from __future__ import annotations
 
 from typing import Callable, Iterator
 
-from .nodes import Node, SymbolNode, TerminalNode
+from .. import obs
+from .nodes import UNKNOWN, Node, SymbolNode, TerminalNode, count_nodes
 
 
 def yield_tokens(root: Node) -> list:
@@ -169,6 +170,56 @@ def choice_points(root: Node) -> list[SymbolNode]:
             found.append(node)  # type: ignore[arg-type]
         stack.extend(node.kids)
     return found
+
+
+def census(root: Node) -> None:
+    """Fill every unknown ``n_nodes``/``n_choices`` under ``root``.
+
+    Descends only into nodes whose counts are unknown, so after an edit
+    the fill costs the new nodes, the changed ancestor chain and any new
+    choice regions -- not the document.  The counting rule:
+
+    * a terminal counts (1, 0) (set at construction);
+    * a choice point with several alternatives counts its whole region
+      once, walking it with an id set (``count_nodes``,
+      ``choice_points``): alternatives share subtrees, so summing their
+      counts would count the shared nodes twice;
+    * every other node counts itself plus the sum over its kids.  The
+      sums are exact because, outside a choice region, the kids of a
+      node cover disjoint spans and null-yield nodes are never shared.
+
+    Region interiors are left as they are: only the choice node's own
+    counts are filled.
+    """
+    if root.n_nodes != UNKNOWN:
+        return
+    # The unknown nodes in pre-order; reversed, every node follows its
+    # kids.
+    order: list[Node] = []
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        if node.n_nodes != UNKNOWN:
+            continue
+        order.append(node)
+        kids = node.kids
+        if not (isinstance(node, SymbolNode) and len(kids) > 1):
+            stack.extend(kids)
+    # One per filled node, plus the interior of every region walked.
+    filled = len(order)
+    for node in reversed(order):
+        kids = node.kids
+        if isinstance(node, SymbolNode) and len(kids) > 1:
+            node.n_nodes = count_nodes(node)
+            node.n_choices = len(choice_points(node))
+            filled += node.n_nodes - 1
+            continue
+        nodes, choices = 1, 0
+        for kid in kids:
+            nodes += kid.n_nodes
+            choices += kid.n_choices
+        node.n_nodes, node.n_choices = nodes, choices
+    obs.incr("dag.census_filled", filled)
 
 
 def error_regions(root: Node) -> list[Node]:

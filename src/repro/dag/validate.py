@@ -17,7 +17,10 @@ layer silently relies on:
   tree's yield is exactly the token stream, the token->node registry
   maps every live token to a terminal that is *in* the tree, and no
   scratch state (fresh nodes, removed nodes, pending edits) survives a
-  commit.
+  commit;
+* **exact synthesized counts** -- after a census, the root's
+  ``n_nodes``/``n_choices`` equal what fresh walks of the whole DAG
+  find (``measure_space`` and ``choice_points``).
 
 ``validate_tree``/``validate_document`` return human-readable violation
 strings; ``check_document`` raises :class:`InvariantError`.  Setting
@@ -31,8 +34,10 @@ from __future__ import annotations
 import os
 
 from ..lexing.tokens import BOS
+from ..obs.space import measure_space
 from .nodes import NO_STATE, Node, SymbolNode
 from .sequences import SequenceNode, SequencePart, _items_of
+from .traversal import census, choice_points, unparse
 
 
 class InvariantError(AssertionError):
@@ -184,8 +189,6 @@ def validate_document(document) -> list[str]:
     problems = validate_tree(doc.tree)
 
     # Yield coverage at the text level: the tree reconstructs the text.
-    from .traversal import unparse
-
     text = unparse(doc.tree)
     if text != doc.text:
         problems.append(
@@ -222,6 +225,16 @@ def validate_document(document) -> list[str]:
     for token in doc.tokens:
         if id(token) not in doc._token_nodes:
             problems.append(f"live token {token!r} missing from registry")
+
+    # The counts readers take at the root agree with whole-DAG walks.
+    census(doc.tree)
+    counted = (doc.tree.n_nodes, doc.tree.n_choices)
+    walked = (measure_space(doc.tree).nodes, len(choice_points(doc.tree)))
+    if counted != walked:
+        problems.append(
+            f"root counts (nodes, choices) = {counted}, but walks of "
+            f"the DAG find {walked}"
+        )
 
     # Scratch state must not survive a commit.
     if not doc._edit_log:

@@ -81,9 +81,15 @@ class ParsePlan:
 
         Any subtree whose yield ends immediately before the change site
         was reduced while peeking at a terminal that has now changed.
+
+        A deleted predecessor is itself a site.  The leftmost deletion of
+        its run reaches the live terminal before the run, in any order
+        the sites arrive, and every ancestor ending at a deleted terminal
+        is already invalid through :meth:`_propagate`.  So one lookup per
+        site suffices, not one walk across the run per deleted terminal.
         """
-        prev = previous_terminal(site, skip=self.is_deleted)
-        if prev is None:
+        prev = previous_terminal(site)
+        if prev is None or self.is_deleted(prev):
             return
         for ancestor in ancestors_ending_at(prev):
             self._right_invalid[id(ancestor)] = ancestor

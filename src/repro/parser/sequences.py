@@ -248,11 +248,14 @@ def _attempt_sequence_repair(document) -> RepairOutcome | None:
 
     # Map every site (and the terminal before it, whose element consumed
     # the site's slot as lookahead) to its innermost sequence element.
+    # A removed predecessor is itself a site; the leftmost removal of its
+    # run brings in the live terminal before the run.
+    removed = {id(t) for t in doc._removed_nodes}
     located: list[tuple[SequenceNode, Node]] = []
     for site in sites:
         neighbours: list[Node] = [site]
-        prev = previous_terminal(site, skip=lambda t: t in doc._removed_nodes)
-        if prev is not None:
+        prev = previous_terminal(site)
+        if prev is not None and id(prev) not in removed:
             neighbours.append(prev)
         for node in neighbours:
             found = _enclosing_item(node)
@@ -298,9 +301,7 @@ def _attempt_sequence_repair(document) -> RepairOutcome | None:
     if first_term is None or last_term is None:
         return None
     token_pos = {id(t): i for i, t in enumerate(doc.tokens)}
-    before = previous_terminal(
-        first_term, skip=lambda t: t in doc._removed_nodes
-    )
+    before = previous_terminal(first_term, skip=lambda t: id(t) in removed)
     if before is not None and before.token.type == BOS:
         before = None  # document start: the stream begins at index 0
     if before is not None and id(before.token) not in token_pos:
@@ -371,7 +372,8 @@ def _attempt_sequence_repair(document) -> RepairOutcome | None:
 
 
 def _refresh_ancestors(node: Node) -> None:
-    """Recompute cached yield widths up the parent chain."""
+    """Recompute cached yield widths up the parent chain, and mark its
+    synthesized counts unknown for the next census."""
     current = node.parent
     while current is not None:
         if isinstance(current, ProductionNode):
@@ -379,4 +381,5 @@ def _refresh_ancestors(node: Node) -> None:
         elif isinstance(current, (SequenceNode, SequencePart)):
             touch(current)
             current.n_terms = sum(k.n_terms for k in current.kids)
+        current.forget_counts()
         current = current.parent

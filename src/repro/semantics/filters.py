@@ -150,6 +150,11 @@ def prefer_tagged(choice: SymbolNode, preferred_tag: str) -> Node | None:
     if len(tagged) != 1:
         return None
     winner = tagged[0]
+    # The dropped alternatives leave every count from here to the root.
+    node: Node | None = choice
+    while node is not None:
+        node.forget_counts()
+        node = node.parent
     choice.alternatives[:] = [winner]
     choice.n_terms = winner.n_terms
     return winner

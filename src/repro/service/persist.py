@@ -46,6 +46,12 @@ Recovery replays one relex per log record, so the manager keeps the log
 at most :data:`LOG_LIMIT` records long by writing a checkpoint instead
 of the next append.
 
+The file layout is format 3.  Format 3 changed only what the pickled
+DAG holds: every node carries its synthesized ``n_nodes``/``n_choices``
+counts.  A file of an earlier format fails the format check and is
+quarantined like any other unverifiable file; the session then starts
+cold from its text.
+
 Crash points cover every transition (serialize, write, publish, append,
 load, quarantine, rehydrate), so the fault suite can kill the process
 at any of them and assert recovery.
@@ -84,8 +90,9 @@ register_points(**{
 })
 
 # Bytes identifying a snapshot file; changing the layout bumps FORMAT.
+# Format 3: pickled nodes carry the n_nodes/n_choices slots.
 MAGIC = b"REPROSNAP"
-FORMAT = 2
+FORMAT = 3
 
 # MAGIC + format (u32) + checkpoint length (u64) + sha256 of the checkpoint.
 _HEADER = struct.Struct(f"<{len(MAGIC)}sIQ32s")

@@ -20,9 +20,10 @@ from ..dag.nodes import Node
 from ..versioned.document import Document
 from ..versioned.transactions import _DocumentState
 
-# Record layout: (node, state, parent, n_terms, structure) where
-# ``structure`` is the node-kind-specific mutable link bundle
-# (``Node._capture_structure``) -- shared with the mutation journal.
+# Record layout: (node, state, parent, n_terms, n_nodes, n_choices,
+# structure) where ``structure`` is the node-kind-specific mutable link
+# bundle (``Node._capture_structure``) -- shared with the mutation
+# journal.
 _Record = tuple
 
 
@@ -40,10 +41,14 @@ class DocumentSnapshot:
     def restore(self, document) -> None:
         """Write the snapshot back; the document forgets the failed attempt."""
         self.state.restore(document)
-        for node, state, parent, n_terms, structure in self.records:
+        for (
+            node, state, parent, n_terms, n_nodes, n_choices, structure
+        ) in self.records:
             node.state = state
             node.parent = parent
             node.n_terms = n_terms
+            node.n_nodes = n_nodes
+            node.n_choices = n_choices
             node._restore_structure(structure)
 
 
@@ -52,7 +57,8 @@ def _capture(root: Node) -> list[_Record]:
 
     Sequence parts are persistent (their kid tuples, item counts, and
     depths are fixed at construction), so for them -- as for terminals --
-    only the shared (state, parent, n_terms) triple needs recording.
+    only the fields every node carries (state, parent, and the three
+    synthesized counts) need recording.
     """
     records: list[_Record] = []
     seen: set[int] = set()
@@ -68,6 +74,8 @@ def _capture(root: Node) -> list[_Record]:
                 node.state,
                 node.parent,
                 node.n_terms,
+                node.n_nodes,
+                node.n_choices,
                 node._capture_structure(),
             )
         )

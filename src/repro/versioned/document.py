@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from .. import obs
 from ..dag.journal import touch
 from ..dag.nodes import ErrorNode, Node, ProductionNode, TerminalNode
-from ..dag.traversal import choice_points, error_regions, unparse
+from ..dag.traversal import census, error_regions, unparse
 from ..dag.validate import check_document, validation_enabled
 from ..language import Language
 from ..lexing.incremental import relex
@@ -138,8 +138,6 @@ class Document:
         self._bos_node = TerminalNode(Token(BOS, ""))
         # Error regions in the committed tree (0 = clean version).
         self._error_count = 0
-        # tree_node_count() memo: (version it was computed at, count).
-        self._node_count: tuple[int, int] = (-1, 0)
 
     # -- editing ------------------------------------------------------------
 
@@ -248,7 +246,7 @@ class Document:
         self._commit(result)
         return AnalysisReport(
             stats=result.stats,
-            ambiguous_regions=len(choice_points(self.tree)),
+            ambiguous_regions=self._choice_count(),
             error_regions=self._error_count,
         )
 
@@ -303,7 +301,7 @@ class Document:
         )
         return AnalysisReport(
             stats=outcome.stats,
-            ambiguous_regions=len(choice_points(self.tree)),
+            ambiguous_regions=self._choice_count(),
             error_regions=self._error_count,
         )
 
@@ -315,6 +313,9 @@ class Document:
     def _commit_inner(self, result: ParseResult) -> None:
         crash_point("commit:start")
         for node in result.new_nodes:
+            # Retention-pool reuse hands an old node, counts included,
+            # to a new reduction: recount every new node.
+            node.forget_counts()
             if isinstance(node, (ProductionNode, ErrorNode)):
                 node.adopt_kids()
         crash_point("commit:adopted")
@@ -490,7 +491,7 @@ class Document:
             txn.close()
         return AnalysisReport(
             stats=result.stats,
-            ambiguous_regions=len(choice_points(self.tree)),
+            ambiguous_regions=self._choice_count(),
             error_regions=self._error_count,
             recovered=True,
         )
@@ -504,7 +505,7 @@ class Document:
 
     @property
     def is_ambiguous(self) -> bool:
-        return self.tree is not None and bool(choice_points(self.tree))
+        return self.tree is not None and self._choice_count() > 0
 
     @property
     def has_errors(self) -> bool:
@@ -521,22 +522,22 @@ class Document:
         """
         return bool(self._edit_log) or self.tree is None
 
+    def _choice_count(self) -> int:
+        """Live choice points in the committed DAG, read at the root."""
+        census(self.tree)
+        return self.tree.n_choices
+
     def tree_node_count(self) -> int:
         """Unique nodes in the committed DAG (shared nodes counted once).
 
-        Memoized per version: the resident-size accounting of the
-        analysis service asks after every committed batch, and a version
-        that has not changed cannot have changed size.
+        Read at the root after a census, so the resident-size accounting
+        of the analysis service, which asks after every committed batch,
+        pays for the nodes the last parse changed, not for the document.
         """
         if self.tree is None:
             return 0
-        version, count = self._node_count
-        if version != self.version:
-            from ..obs.space import measure_space
-
-            count = measure_space(self.tree).nodes
-            self._node_count = (self.version, count)
-        return count
+        census(self.tree)
+        return self.tree.n_nodes
 
     # -- persistence ----------------------------------------------------------
 

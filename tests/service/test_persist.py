@@ -166,6 +166,16 @@ class TestCorruption:
                     + p.read_bytes()[_HEADER.size:]
                 ),
             ),
+            # What an upgraded server finds on disk: the previous format.
+            (
+                "format-previous",
+                lambda p: p.write_bytes(
+                    _HEADER.pack(
+                        MAGIC, FORMAT - 1, *_HEADER.unpack_from(p.read_bytes())[2:]
+                    )
+                    + p.read_bytes()[_HEADER.size:]
+                ),
+            ),
             (
                 "digest-flip",
                 lambda p: p.write_bytes(

@@ -60,6 +60,8 @@ def fingerprint(doc):
                     node.state,
                     id(node.parent) if node.parent is not None else None,
                     node.n_terms,
+                    node.n_nodes,
+                    node.n_choices,
                     node._capture_structure()
                     if node._capture_structure() is None
                     else tuple(
