@@ -1,6 +1,7 @@
 # Convenience targets; all testing goes through pytest.
 #
-#   make test        - tier-1 correctness suite
+#   make test        - tier-1 correctness suite, then the repository
+#                      benchmark's own tests (perfbench/tests)
 #   make smoke       - robustness smoke: fuzz + fault-injection suites with
 #                      post-commit DAG invariant validation enabled
 #   make bench       - reproduction benchmarks (writes benchmarks/results/)
@@ -47,6 +48,7 @@ PY = PYTHONPATH=src python
 
 test:
 	$(PY) -m pytest -q
+	$(PY) -m pytest -q perfbench/tests
 
 smoke:
 	REPRO_VALIDATE=1 $(PY) -m pytest -q -m "fuzz or faults"

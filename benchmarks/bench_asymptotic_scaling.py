@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from repro import Document
 from repro.bench import fit_powerlaw, parse_work, render_table
+from repro.bench.workloads import numeric_token_sites
 from repro.dag.sequences import parts_created
 from repro.langs.calc import calc_language
 from repro.langs.generators import generate_calc_program
@@ -38,23 +39,12 @@ def _work_for_edit(
         balanced_sequences=balanced,
     )
     doc.parse()
-    sites = [
-        (off, length)
-        for off, length in _num_sites(doc)
-    ]
+    sites = numeric_token_sites(doc)
     offset, length = sites[int(position * (len(sites) - 1))]
     before = parts_created()
     doc.edit(offset, length, "777")
     report = doc.parse()
     return parse_work(report.stats) + (parts_created() - before)
-
-
-def _num_sites(doc: Document):
-    pos = 0
-    for token in doc.tokens:
-        if token.type == "NUM":
-            yield pos + len(token.trivia), len(token.text)
-        pos += token.width
 
 
 def test_asymptotic_edit_position_dependence(benchmark, report_sink):
@@ -136,7 +126,7 @@ def test_incremental_beats_batch_at_scale(benchmark, report_sink):
         doc = Document(lang, generate_calc_program(size, seed=13))
         batch_report = doc.parse()
         batch_work = parse_work(batch_report.stats)
-        sites = list(_num_sites(doc))
+        sites = numeric_token_sites(doc)
         offset, length = sites[-2]
         doc.edit(offset, length, "88")
         inc_report = doc.parse()

@@ -26,7 +26,8 @@ def numeric_token_sites(doc: Document) -> list[tuple[int, int]]:
     """(offset, length) of every NUM token in the document."""
     sites: list[tuple[int, int]] = []
     pos = 0
-    for token in doc.tokens:
+    for node in doc.tokens:
+        token = node.token
         if token.type == "NUM":
             sites.append((pos + len(token.trivia), len(token.text)))
         pos += token.width

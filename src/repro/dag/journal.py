@@ -36,7 +36,10 @@ are threaded through
 
 ``touch`` is also safe (and cheap) for nodes created during the current
 attempt: their restored fields are simply never observed again after a
-rollback discards them.
+rollback discards them.  The document's uncommitted stream nodes are
+older than the attempt, and they *are* observed again: a rollback must
+return their ``parent`` to ``None``, the document's only marker of a
+terminal not yet committed, so no write to ``parent`` may skip ``touch``.
 
 Journals nest.  The recovery ladder runs trial parses inside an
 enclosing transaction; every active journal records the first touch it

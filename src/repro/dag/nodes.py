@@ -23,11 +23,6 @@ Every node also carries two synthesized counts next to ``n_terms``:
 live choice points among them.  They are filled lazily, bottom-up, by
 :func:`repro.dag.traversal.census`; :data:`UNKNOWN` marks a count that
 construction or a mutation left to be (re)computed.
-
-Change tracking supports the incremental parser's previous-version
-traversal: ``local_changes`` marks edit sites, ``nested_changes`` marks
-ancestors of edit sites, and ``right_invalid`` marks nodes whose
-construction depended on a following terminal that has since changed.
 """
 
 from __future__ import annotations
@@ -62,9 +57,6 @@ class Node:
         "n_terms",
         "n_nodes",
         "n_choices",
-        "local_changes",
-        "nested_changes",
-        "right_invalid",
         "annotations",
     )
 
@@ -78,9 +70,6 @@ class Node:
         # census(), reset to UNKNOWN whenever the subtree changes.
         self.n_nodes = UNKNOWN
         self.n_choices = UNKNOWN
-        self.local_changes = False
-        self.nested_changes = False
-        self.right_invalid = False
         # Lazily allocated bag for semantic attributes (bindings, the
         # "filtered" flag of rejected interpretations, error flags...).
         self.annotations: dict | None = None
@@ -119,31 +108,7 @@ class Node:
     def arity(self) -> int:
         return len(self.kids)
 
-    # -- change tracking -------------------------------------------------------
-
-    def has_changes(self) -> bool:
-        """True when this subtree cannot be reused verbatim."""
-        return (
-            self.local_changes
-            or self.nested_changes
-            or self.right_invalid
-        )
-
-    def mark_local_change(self) -> None:
-        """Mark this node edited and notify all ancestors."""
-        self.local_changes = True
-        self.propagate_change_upward()
-
-    def propagate_change_upward(self) -> None:
-        node = self.parent
-        while node is not None and not node.nested_changes:
-            node.nested_changes = True
-            node = node.parent
-
-    def clear_changes(self) -> None:
-        self.local_changes = False
-        self.nested_changes = False
-        self.right_invalid = False
+    # -- synthesized counts ----------------------------------------------------
 
     def forget_counts(self) -> None:
         """Mark the synthesized counts unknown: the subtree changed.
@@ -270,10 +235,6 @@ class ProductionNode(Node):
     @property
     def symbol(self) -> str:
         return self.production.lhs
-
-    @property
-    def rule_index(self) -> int:
-        return self.production.index
 
     def replace_kids(self, kids: tuple[Node, ...]) -> None:
         touch(self)

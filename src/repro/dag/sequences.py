@@ -25,7 +25,7 @@ is what makes sequence repair logarithmic.
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .. import obs
 from .journal import touch
@@ -318,7 +318,3 @@ def split_for_breakdown(seq: SequenceNode, has_changes) -> list[Node]:
 def parts_created() -> int:
     """Total sequence parts ever created (work metric for benchmarks)."""
     return _PART_COUNTER[0]
-
-
-def iter_items(root: Node | None) -> Iterator[Node]:
-    yield from _flatten(root)

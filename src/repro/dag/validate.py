@@ -13,11 +13,10 @@ layer silently relies on:
 * **sequence-spine adoption** -- balanced sequence internals are
   consistent: part item counts add up and spine parent links are
   adopted (``item_index_of`` walks them);
-* **no dangling deleted nodes** -- at the document level, the committed
-  tree's yield is exactly the token stream, the token->node registry
-  maps every live token to a terminal that is *in* the tree, and no
-  scratch state (fresh nodes, removed nodes, pending edits) survives a
-  commit;
+* **one token stream** -- at the document level, the committed tree's
+  terminal yield after BOS is the document's token stream, node for
+  node by identity (so every stream node is committed), and no scratch
+  state (removed nodes, pending edits) survives a commit;
 * **exact synthesized counts** -- after a census, the root's
   ``n_nodes``/``n_choices`` equal what fresh walks of the whole DAG
   find (``measure_space`` and ``choice_points``).
@@ -196,35 +195,19 @@ def validate_document(document) -> list[str]:
             f"text {doc.text!r}"
         )
 
-    # The terminal yield is exactly [BOS] + the token stream, by object
-    # identity (the registry and incremental relexing depend on it).
-    tree_tokens = [t.token for t in doc.tree.iter_terminals()]
-    if not tree_tokens or tree_tokens[0].type != BOS:
+    # The terminal yield is exactly [BOS] + the token stream, node for
+    # node by identity: incremental relexing hands the stream's nodes
+    # back, and an uncommitted node is one with no parent.
+    terminals = list(doc.tree.iter_terminals())
+    if not terminals or terminals[0].token.type != BOS:
         problems.append("tree yield does not start with the BOS sentinel")
-    elif len(tree_tokens) - 1 != len(doc.tokens) or any(
-        a is not b for a, b in zip(tree_tokens[1:], doc.tokens)
+    elif len(terminals) - 1 != len(doc.tokens) or any(
+        a is not b for a, b in zip(terminals[1:], doc.tokens)
     ):
         problems.append(
-            "tree terminal yield is not the document token stream "
-            f"({len(tree_tokens) - 1} tree tokens vs {len(doc.tokens)})"
+            "tree terminal yield is not the document's node stream "
+            f"({len(terminals) - 1} tree terminals vs {len(doc.tokens)})"
         )
-
-    # Registry: every token maps to a terminal node in the tree; no
-    # dangling entries for tokens that left the stream.
-    tree_terminals = {id(t) for t in doc.tree.iter_terminals()}
-    live = {id(tok) for tok in doc.tokens}
-    for key, (token, node) in doc._token_nodes.items():
-        if key not in live:
-            problems.append(
-                f"registry holds dangling entry for dead token {token!r}"
-            )
-        elif id(node) not in tree_terminals:
-            problems.append(
-                f"registry maps {token!r} to a terminal node outside the tree"
-            )
-    for token in doc.tokens:
-        if id(token) not in doc._token_nodes:
-            problems.append(f"live token {token!r} missing from registry")
 
     # The counts readers take at the root agree with whole-DAG walks.
     census(doc.tree)
@@ -241,10 +224,6 @@ def validate_document(document) -> list[str]:
         if doc._removed_nodes:
             problems.append(
                 f"{len(doc._removed_nodes)} removed nodes survive the commit"
-            )
-        if doc._fresh_nodes:
-            problems.append(
-                f"{len(doc._fresh_nodes)} fresh scratch nodes survive the commit"
             )
     return problems
 

@@ -1,16 +1,19 @@
 """Incremental lexing with lookahead invalidation.
 
-Given the previous token stream and a single text edit, :func:`relex`
-recomputes only the tokens whose *read windows* intersect the edit, then
-re-synchronizes with the old stream at the first token boundary past the
-edit whose content is unchanged.  A token's read window covers its trivia,
-its text, and its lexical lookahead -- characters beyond the token that
-the DFA examined before settling on the longest match.  Because the DFA
-tokenizes purely as a function of the text suffix, identical suffixes
-guarantee identical tokens, which makes boundary re-synchronization sound.
+Given the previous stream of terminal nodes and a single text edit,
+:func:`relex` recomputes only the tokens whose *read windows* intersect
+the edit, then re-synchronizes with the old stream at the first token
+boundary past the edit whose content is unchanged.  A token's read
+window covers its trivia, its text, and its lexical lookahead --
+characters beyond the token that the DFA examined before settling on
+the longest match.  Because the DFA tokenizes purely as a function of
+the text suffix, identical suffixes guarantee identical tokens, which
+makes boundary re-synchronization sound.
 
-Unchanged tokens are returned as the *same objects*, so downstream
-consumers (the parse DAG) can detect unchanged terminals by identity.
+The stream is the parse DAG's own terminals: unchanged entries come back
+as the *same node objects*, so the committed tree keeps them, and only
+rescanned tokens get a new, parentless :class:`TerminalNode` -- which is
+how the document tells an uncommitted terminal from a committed one.
 
 Work stays proportional to the edit: the restart point comes from a
 forward offset walk bounded by the edit position, and re-synchronization
@@ -26,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .. import obs
+from ..dag.nodes import TerminalNode
 from .lexer import LexerSpec
 from .tokens import EOS, Token
 
@@ -35,10 +39,10 @@ class RelexResult:
     """Outcome of an incremental relex.
 
     Attributes:
-        tokens: the full new token stream (ends with EOS).
-        changed_start: index into ``tokens`` of the first non-reused token.
-        changed_end: index one past the last non-reused token.
-        removed: old token objects no longer present in the stream.
+        tokens: the full new stream of terminal nodes (ends with EOS).
+        changed_start: index into ``tokens`` of the first non-reused node.
+        changed_end: index one past the last non-reused node.
+        removed: old nodes of the replaced window no longer in the stream.
         scanned: how many tokens were actually re-scanned (work metric).
         examined: old tokens whose offsets were computed while locating
             the restart point and the resync boundary (work metric; stays
@@ -46,21 +50,21 @@ class RelexResult:
             also exposes hidden bookkeeping walks).
     """
 
-    tokens: list[Token]
+    tokens: list[TerminalNode]
     changed_start: int
     changed_end: int
-    removed: list[Token] = field(default_factory=list)
+    removed: list[TerminalNode] = field(default_factory=list)
     scanned: int = 0
     examined: int = 0
 
     @property
-    def changed(self) -> list[Token]:
+    def changed(self) -> list[TerminalNode]:
         return self.tokens[self.changed_start : self.changed_end]
 
 
 def relex(
     spec: LexerSpec,
-    old_tokens: list[Token],
+    old_nodes: list[TerminalNode],
     new_text: str,
     edit_offset: int,
     removed_len: int,
@@ -69,12 +73,12 @@ def relex(
     """Incrementally retokenize after replacing ``removed_len`` characters
     at ``edit_offset`` (old coordinates) with ``inserted_len`` new ones.
 
-    ``old_tokens`` must be a complete stream for the pre-edit text (ending
+    ``old_nodes`` must be a complete stream for the pre-edit text (ending
     with EOS); ``new_text`` is the post-edit text.
     """
     with obs.span("lex.relex"):
         result = _relex(
-            spec, old_tokens, new_text, edit_offset, removed_len, inserted_len
+            spec, old_nodes, new_text, edit_offset, removed_len, inserted_len
         )
         obs.incr("lex.relexes")
         obs.incr("lex.tokens_rescanned", result.scanned)
@@ -88,66 +92,65 @@ def relex(
 
 def _relex(
     spec: LexerSpec,
-    old_tokens: list[Token],
+    old: list[TerminalNode],
     new_text: str,
     edit_offset: int,
     removed_len: int,
     inserted_len: int,
 ) -> RelexResult:
-    if not old_tokens:
-        tokens = spec.lex(new_text)
-        return RelexResult(tokens, 0, len(tokens), scanned=len(tokens))
+    if not old:
+        nodes = [TerminalNode(tok) for tok in spec.lex(new_text)]
+        return RelexResult(nodes, 0, len(nodes), scanned=len(nodes))
 
     delta = inserted_len - removed_len
     edit_old_end = edit_offset + removed_len
     examined = 0
 
     # -- restart point: walk forward to the last token starting at or
-    #    before the edit, accumulating start offsets as we go.  Bounded by
-    #    the edit position, never by the document length.
-    prefix_offsets = [0]
+    #    before the edit, accumulating its start offset as we go.  Bounded
+    #    by the edit position, never by the document length.
     start_idx = 0
-    while (
-        start_idx + 1 < len(old_tokens)
-        and prefix_offsets[start_idx] + old_tokens[start_idx].width
-        <= edit_offset
-    ):
-        prefix_offsets.append(
-            prefix_offsets[start_idx] + old_tokens[start_idx].width
-        )
+    start_off = 0
+    last = len(old) - 1
+    while start_idx < last:
+        width = old[start_idx].token.width
+        if start_off + width > edit_offset:
+            break
+        start_off += width
         start_idx += 1
         examined += 1
-    # ...then left over every token whose read window touches the edit.
+    # ...then left over every token whose read window touches the edit
+    #    (a read window ends ``lookahead`` characters past its token).
     while start_idx > 0:
-        prev = old_tokens[start_idx - 1]
-        read_end = prefix_offsets[start_idx - 1] + prev.width + prev.lookahead
-        if read_end > edit_offset:
+        prev = old[start_idx - 1].token
+        if start_off + prev.lookahead > edit_offset:
             start_idx -= 1
+            start_off -= prev.width
         else:
             break
 
     # -- resync cursor: advances monotonically over old tokens strictly
     #    past the restart point, tracking their start offsets on demand.
     cursor = start_idx + 1
-    cursor_off = prefix_offsets[start_idx] + old_tokens[start_idx].width
+    cursor_off = start_off + old[start_idx].token.width
 
     # -- rescan.
     middle: list[Token] = []
-    pos = prefix_offsets[start_idx]
-    tail_idx: int | None = None
+    pos = start_off
+    end_idx = len(old)  # one past the replaced window
     while True:
         target = pos - delta  # old coordinate of the current position
-        while cursor < len(old_tokens) and cursor_off < target:
-            cursor_off += old_tokens[cursor].width
+        while cursor < len(old) and cursor_off < target:
+            cursor_off += old[cursor].token.width
             cursor += 1
             examined += 1
         if (
             middle
-            and cursor < len(old_tokens)
+            and cursor < len(old)
             and cursor_off == target
             and cursor_off >= edit_old_end
         ):
-            tail_idx = cursor
+            end_idx = cursor
             break
         tok = spec.next_token(new_text, pos)
         if tok is None:
@@ -156,8 +159,6 @@ def _relex(
         pos += tok.width
         if tok.type == EOS:
             break
-
-    tail = old_tokens[tail_idx:] if tail_idx is not None else []
     scanned = len(middle)
 
     # -- maximize identity reuse at the seam: scanning may have reproduced
@@ -166,35 +167,30 @@ def _relex(
     lo = 0
     while (
         lo < len(middle)
-        and start_idx + lo < (tail_idx if tail_idx is not None else len(old_tokens))
-        and middle[lo].same_content(old_tokens[start_idx + lo])
+        and start_idx + lo < end_idx
+        and middle[lo].same_content(old[start_idx + lo].token)
     ):
-        middle[lo] = old_tokens[start_idx + lo]
         lo += 1
     hi = len(middle)
-    old_hi = tail_idx if tail_idx is not None else len(old_tokens)
+    old_hi = end_idx
     while (
         hi > lo
         and old_hi > start_idx + lo
-        and middle[hi - 1].same_content(old_tokens[old_hi - 1])
+        and middle[hi - 1].same_content(old[old_hi - 1].token)
     ):
         hi -= 1
         old_hi -= 1
-        middle[hi] = old_tokens[old_hi]
 
-    tokens = old_tokens[:start_idx] + middle + tail
-    changed_start = start_idx + lo
-    changed_end = start_idx + hi
-    kept = set()
-    for tok in middle[:lo]:
-        kept.add(id(tok))
-    for tok in middle[hi:]:
-        kept.add(id(tok))
-    removed = [
-        tok
-        for tok in old_tokens[start_idx : tail_idx if tail_idx is not None else len(old_tokens)]
-        if id(tok) not in kept
-    ]
+    nodes = (
+        old[: start_idx + lo]
+        + [TerminalNode(tok) for tok in middle[lo:hi]]
+        + old[old_hi:]
+    )
     return RelexResult(
-        tokens, changed_start, changed_end, removed, scanned, examined
+        nodes,
+        start_idx + lo,
+        start_idx + hi,
+        old[start_idx + lo : old_hi],
+        scanned,
+        examined,
     )

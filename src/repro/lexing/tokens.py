@@ -1,9 +1,9 @@
 """Token objects produced by the lexers.
 
 Tokens are the terminal symbols of the parse DAG, so their identity
-matters: the incremental lexer reuses the *same* ``Token`` object for
-unchanged text, which lets the incremental parser recognize unchanged
-terminal nodes by identity.
+matters: the incremental lexer hands unchanged text back as the *same*
+terminal node, carrying the same ``Token`` object, which lets the
+incremental parser recognize unchanged terminals by identity.
 
 A token records how many characters past its own end the lexer examined
 (``lookahead``); an edit within that window invalidates the token even

@@ -230,18 +230,9 @@ def _attempt_sequence_repair(document) -> RepairOutcome | None:
 
     # Collect change sites as old-tree terminals.
     sites: list[TerminalNode] = list(doc._removed_nodes)
-    fresh_runs: list[tuple[TerminalNode, list[Token]]] = []
-    run: list[Token] = []
-    for token in doc.tokens:
-        entry = doc._token_nodes.get(id(token))
-        if entry is None:
-            run.append(token)
-        elif run:
-            fresh_runs.append((entry[1], run))
-            run = []
-    if run:
-        return None  # insertion at end of document: no anchor
-    for anchor, _tokens in fresh_runs:
+    for _run, anchor in doc.fresh_runs():
+        if anchor is None:
+            return None  # insertion at end of document: no anchor
         sites.append(anchor)
     if not sites:
         return None
@@ -300,21 +291,23 @@ def _attempt_sequence_repair(document) -> RepairOutcome | None:
     last_term = last_terminal(guard_right)
     if first_term is None or last_term is None:
         return None
-    token_pos = {id(t): i for i, t in enumerate(doc.tokens)}
     before = previous_terminal(first_term, skip=lambda t: id(t) in removed)
     if before is not None and before.token.type == BOS:
         before = None  # document start: the stream begins at index 0
-    if before is not None and id(before.token) not in token_pos:
+    tokens = doc.tokens
+    try:
+        start_idx = tokens.index(before) + 1 if before is not None else 0
+        end_idx = tokens.index(last_term, start_idx)
+    except ValueError:
         return None
-    start_idx = token_pos[id(before.token)] + 1 if before is not None else 0
-    if id(last_term.token) not in token_pos:
-        return None
-    end_idx = token_pos[id(last_term.token)]
 
-    fragment = doc.tokens[start_idx : end_idx + 1]
+    # Parse copies of the fragment's terminals: committed nodes stay
+    # untouched until the splice.
+    fragment = tokens[start_idx : end_idx + 1]
     table = doc.language.fragment_table(seq.symbol)
     stream = InputStream(
-        [TerminalNode(t) for t in fragment] + [TerminalNode(Token(EOS, ""))]
+        [TerminalNode(node.token) for node in fragment]
+        + [TerminalNode(Token(EOS, ""))]
     )
     parts_before = parts_created()
     try:
@@ -358,10 +351,12 @@ def _attempt_sequence_repair(document) -> RepairOutcome | None:
     _refresh_ancestors(seq)
     crash_point("repair:after-splice")
 
-    # Registry: terminals inside the replaced range got fresh nodes.
-    for item in replacement:
-        for term in item.iter_terminals():
-            doc._token_nodes[id(term.token)] = (term.token, term)
+    # The replaced elements' terminals are fragment copies: they take
+    # over their entries in the stream (a new list -- the transaction
+    # state may still hold the old one).
+    first = start_idx + sum(item.n_terms for item in new_items[:keep_left])
+    terms = [term for item in replacement for term in item.iter_terminals()]
+    doc.tokens = tokens[:first] + terms + tokens[first + len(terms):]
 
     return RepairOutcome(
         stats=result.stats,

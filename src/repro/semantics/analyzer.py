@@ -80,10 +80,6 @@ class SemanticReport:
     sites_refiltered: int = 0
     full_pass: bool = True
 
-    @property
-    def resolved_count(self) -> int:
-        return len(self.decisions) - len(self.unresolved)
-
 
 class TypedefAnalyzer:
     """Scope-aware disambiguation for MiniC documents."""

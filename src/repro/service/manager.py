@@ -66,13 +66,11 @@ class SessionManager:
         max_sessions: int = 32,
         max_resident_nodes: int = 2_000_000,
         queue_limit: int = 64,
-        default_engine: str = "iglr",
         store: SnapshotStore | None = None,
     ) -> None:
         self.max_sessions = max_sessions
         self.max_resident_nodes = max_resident_nodes
         self.queue_limit = queue_limit
-        self.default_engine = default_engine
         self.store = store
         # Insertion order == recency order: move_to_end on every touch.
         self._sessions: "OrderedDict[str, Session]" = OrderedDict()
@@ -127,7 +125,6 @@ class SessionManager:
         *,
         language: str | None = None,
         grammar: str | None = None,
-        engine: str | None = None,
         balanced: bool = True,
     ) -> Session:
         """Create a session (evicting an idle one if the pool is full).
@@ -153,7 +150,6 @@ class SessionManager:
         session = Session(
             name,
             lang,
-            engine=engine or self.default_engine,
             balanced=balanced,
             queue_limit=self.queue_limit,
             on_flush=self._after_flush,
@@ -354,7 +350,6 @@ class SessionManager:
         session = Session(
             name,
             lang,
-            engine=snapshot.engine,
             balanced=snapshot.balanced,
             queue_limit=self.queue_limit,
             on_flush=self._after_flush,

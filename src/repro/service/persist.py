@@ -46,11 +46,10 @@ Recovery replays one relex per log record, so the manager keeps the log
 at most :data:`LOG_LIMIT` records long by writing a checkpoint instead
 of the next append.
 
-The file layout is format 3.  Format 3 changed only what the pickled
-DAG holds: every node carries its synthesized ``n_nodes``/``n_choices``
-counts.  A file of an earlier format fails the format check and is
-quarantined like any other unverifiable file; the session then starts
-cold from its text.
+The file layout is :data:`FORMAT` (the comment next to it says what the
+current format changed).  A file of an earlier format fails the format
+check and is quarantined like any other unverifiable file; the session
+then starts cold from its text.
 
 Crash points cover every transition (serialize, write, publish, append,
 load, quarantine, rehydrate), so the fault suite can kill the process
@@ -90,9 +89,11 @@ register_points(**{
 })
 
 # Bytes identifying a snapshot file; changing the layout bumps FORMAT.
-# Format 3: pickled nodes carry the n_nodes/n_choices slots.
+# Format 4: the document payload's token stream is the tree's own
+# terminal nodes (no parallel node list), pickled nodes carry no
+# change-flag slots, and SessionSnapshot has no engine field.
 MAGIC = b"REPROSNAP"
-FORMAT = 3
+FORMAT = 4
 
 # MAGIC + format (u32) + checkpoint length (u64) + sha256 of the checkpoint.
 _HEADER = struct.Struct(f"<{len(MAGIC)}sIQ32s")
@@ -170,7 +171,6 @@ class SessionSnapshot:
     name: str
     language: str | None  # built-in language name, or None for inline
     grammar: str | None  # inline grammar-DSL source, or None for built-in
-    engine: str
     balanced: bool
     text: str  # authoritative (client-equal) text
     base_text: str  # committed text the doc payload corresponds to
@@ -586,7 +586,6 @@ class SnapshotStore:
                 entry.update(
                     name=snapshot.name,
                     language=snapshot.language or "<inline>",
-                    engine=snapshot.engine,
                     version=snapshot.version,
                     text_bytes=len(snapshot.text),
                     journal_edits=len(snapshot.journal_tail),

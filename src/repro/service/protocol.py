@@ -132,9 +132,6 @@ class EditSpec:
     remove: int
     insert: str
 
-    def to_json(self) -> dict:
-        return {"at": self.at, "remove": self.remove, "insert": self.insert}
-
     @classmethod
     def from_json(cls, obj: object) -> "EditSpec":
         if not isinstance(obj, dict):

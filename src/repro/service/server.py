@@ -349,7 +349,6 @@ class AnalysisService(ServiceTransport):
                 name,
                 language=request.get("language"),
                 grammar=request.get("grammar"),
-                engine=request.get("engine"),
                 balanced=bool(request.get("balanced", True)),
             )
         except CapacityError as error:

@@ -135,7 +135,6 @@ class Session:
         name: str,
         language: Language,
         *,
-        engine: str = "iglr",
         balanced: bool = True,
         queue_limit: int = 64,
         on_flush=None,
@@ -145,7 +144,6 @@ class Session:
         self.name = name
         self.language = language
         self.language_label = "<inline>"  # manager overwrites with the name
-        self.engine = engine
         # Long-lived interactive sessions default to the balanced
         # sequence representation: statement-list spines collapse to
         # log depth, so per-keystroke parses stay flat as buffers grow
@@ -547,10 +545,7 @@ class Session:
         self.counts["rebuilds"] += 1
         obs.incr("service.rebuilds")
         doc = Document(
-            self.language,
-            target,
-            engine=self.engine,
-            balanced_sequences=self.balanced,
+            self.language, target, balanced_sequences=self.balanced
         )
         report = doc.parse()
         self.doc = doc
@@ -826,7 +821,6 @@ class Session:
             # only its built-in registry, so the source is what lets it
             # rehydrate this session under the reloaded grammar.
             grammar=self.grammar_source,
-            engine=self.engine,
             balanced=self.balanced,
             text=self.shadow_text,
             base_text=base_text,
@@ -900,13 +894,12 @@ class Session:
     # -- introspection --------------------------------------------------------
 
     def resident_nodes(self) -> int:
-        """DAG size of the committed tree (memoized per version)."""
+        """DAG size of the committed tree, read at its root."""
         return self.doc.tree_node_count() if self.doc is not None else 0
 
     def describe(self) -> dict:
         return {
             "language": self.language_label,
-            "engine": self.engine,
             "balanced": self.balanced,
             "version": self.doc.version if self.doc else 0,
             "tokens": len(self.doc.tokens) if self.doc else 0,

@@ -34,9 +34,10 @@ class DocumentSnapshot:
 
     def __init__(self, document) -> None:
         self.state = _DocumentState(document)
-        self.records: list[_Record] = (
-            _capture(document.tree) if document.tree is not None else []
-        )
+        # The stream's uncommitted nodes live across parse attempts too:
+        # a failed attempt may have adopted them.
+        roots = [document.tree] if document.tree is not None else []
+        self.records: list[_Record] = _capture(roots + document.tokens)
 
     def restore(self, document) -> None:
         """Write the snapshot back; the document forgets the failed attempt."""
@@ -52,8 +53,8 @@ class DocumentSnapshot:
             node._restore_structure(structure)
 
 
-def _capture(root: Node) -> list[_Record]:
-    """Mutable state of every node reachable from ``root``, once each.
+def _capture(roots: list[Node]) -> list[_Record]:
+    """Mutable state of every node reachable from ``roots``, once each.
 
     Sequence parts are persistent (their kid tuples, item counts, and
     depths are fixed at construction), so for them -- as for terminals --
@@ -62,7 +63,7 @@ def _capture(root: Node) -> list[_Record]:
     """
     records: list[_Record] = []
     seen: set[int] = set()
-    stack: list[Node] = [root]
+    stack: list[Node] = list(roots)
     while stack:
         node = stack.pop()
         if id(node) in seen:

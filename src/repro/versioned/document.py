@@ -1,7 +1,10 @@
 """Self-versioning documents: the incremental analysis driver.
 
 A :class:`Document` owns the program text, its token stream, and its
-abstract parse DAG, and keeps all three consistent across edits:
+abstract parse DAG, and keeps all three consistent across edits.  The
+token stream is a list of the DAG's own terminal nodes: an unchanged
+token *is* the committed tree's terminal, and a token relexed since the
+last commit is a new node with no parent yet.
 
 * :meth:`edit` applies a textual change, incrementally relexing the
   affected region (paper's incremental lexer with lookahead tracking);
@@ -20,7 +23,8 @@ exception -- syntax error, invariant violation, injected fault -- can
 leave a document between versions.
 
 The previous tree is the paper's ``lastParsedVersion``; between parses,
-modifications accumulate in token-level bookkeeping and are turned into a
+modifications accumulate in the token stream (parentless nodes) and the
+list of removed committed terminals, and are turned into a
 :class:`~repro.parser.plan.ParsePlan` overlay when parsing starts.
 """
 
@@ -48,7 +52,6 @@ register_points(**{
     "commit:adopted": "new nodes have adopted their kids",
     "commit:collapsed": "sequence spines collapsed to balanced form",
     "commit:rooted": "new root installed, parents re-adopted",
-    "commit:registry": "token-node registry rebuilt",
     "recover:after-revert": "one edit reverted during history-sensitive recovery",
     "recover:before-commit": "reverted prefix parses, about to re-incorporate",
     "isolate:reparse": "panic-mode tolerant reparse about to run",
@@ -123,18 +126,18 @@ class Document:
             raise ValueError(f"unknown engine {engine!r}")
         self.tree: ProductionNode | None = None
         self.version = 0
-        self.tokens: list[Token] = []
+        # The token stream as terminal nodes, EOS last.  A node with no
+        # parent has not been committed yet: relex made it since the
+        # last parse.  Every writer rebinds the list, never mutates it.
+        self.tokens: list[TerminalNode] = []
         self.last_result: ParseResult | None = None
-        # Token object -> its terminal node in the current tree.
-        self._token_nodes: dict[int, tuple[Token, TerminalNode]] = {}
-        # Terminal nodes whose tokens left the stream since last parse.
+        # Committed terminals that left the stream since the last parse.
         self._removed_nodes: list[TerminalNode] = []
         # Same, for the *last committed* parse: alongside
         # last_result.new_nodes this is the mutation journal consumers
         # (e.g. repro.semantics) read to scope invalidation to the edit.
         self.last_removed_terminals: list[TerminalNode] = []
         self._edit_log: list[Edit] = []
-        self._fresh_nodes: dict[int, TerminalNode] = {}
         self._bos_node = TerminalNode(Token(BOS, ""))
         # Error regions in the committed tree (0 = clean version).
         self._error_count = 0
@@ -171,12 +174,10 @@ class Document:
             len(inserted),
         )
         self.tokens = result.tokens
-        for token in result.removed:
-            entry = self._token_nodes.pop(id(token), None)
-            if entry is not None:
-                self._removed_nodes.append(entry[1])
-            # Tokens without nodes were fresh since the last parse; they
-            # simply vanish.
+        # A parentless node never entered the tree: it simply vanishes.
+        self._removed_nodes.extend(
+            node for node in result.removed if node.parent is not None
+        )
 
     def insert(self, offset: int, text: str) -> None:
         """Convenience: insert text."""
@@ -252,38 +253,43 @@ class Document:
 
     def _attempt_parse(self) -> ParseResult:
         if self.tree is None:
-            self.tokens = self.language.lexer.lex(self.text)
-            terminals = [TerminalNode(tok) for tok in self.tokens]
-            self._fresh_nodes = {
-                id(tok): node for tok, node in zip(self.tokens, terminals)
-            }
-            stream = InputStream(list(terminals))
-            return self._parser.parse(stream)
-        plan, fresh_nodes = self._build_plan()
-        self._fresh_nodes = fresh_nodes
+            self.tokens = [
+                TerminalNode(tok) for tok in self.language.lexer.lex(self.text)
+            ]
+            return self._parser.parse(InputStream(self.tokens))
         initial: list[Node] = [self.tree.kids[1], self.tree.kids[2]]
-        stream = InputStream(initial, plan)
+        stream = InputStream(initial, self._build_plan())
         return self._parser.parse(stream)
 
-    def _build_plan(self) -> tuple[ParsePlan, dict[int, TerminalNode]]:
+    def fresh_runs(self) -> list[tuple[list[TerminalNode], TerminalNode | None]]:
+        """Maximal runs of uncommitted stream nodes, left to right.
+
+        Each run comes with the committed node it precedes, or None when
+        it ends the stream.
+        """
+        runs: list[tuple[list[TerminalNode], TerminalNode | None]] = []
+        run: list[TerminalNode] = []
+        for node in self.tokens:
+            if node.parent is None:
+                run.append(node)
+            elif run:
+                runs.append((run, node))
+                run = []
+        if run:
+            runs.append((run, None))
+        return runs
+
+    def _build_plan(self) -> ParsePlan:
         """Convert accumulated token changes into a modification overlay."""
         plan = ParsePlan()
         for node in self._removed_nodes:
             plan.mark_deleted(node)
-        fresh_nodes: dict[int, TerminalNode] = {}
-        run: list[TerminalNode] = []
-        for token in self.tokens:
-            if id(token) in self._token_nodes:
-                if run:
-                    plan.add_pending_before(self._token_nodes[id(token)][1], run)
-                    run = []
+        for run, anchor in self.fresh_runs():
+            if anchor is None:
+                plan.add_pending_at_end(run)
             else:
-                node = TerminalNode(token)
-                fresh_nodes[id(token)] = node
-                run.append(node)
-        if run:
-            plan.add_pending_at_end(run)
-        return plan, fresh_nodes
+                plan.add_pending_before(anchor, run)
+        return plan
 
     def _attempt_sequence_repair(self) -> AnalysisReport | None:
         """The paper-3.4 fast path: splice reparsed elements in place."""
@@ -342,14 +348,9 @@ class Document:
             if isinstance(result.root, SequenceNode):
                 result.root._adopt_spine()
         crash_point("commit:collapsed")
-        eos_entry = self._token_nodes.get(id(self.tokens[-1]))
-        if eos_entry is not None:
-            eos_node = eos_entry[1]
-        else:
-            eos_node = self._fresh_nodes[id(self.tokens[-1])]
         root = ProductionNode(
             self.language.root_production,
-            (self._bos_node, result.root, eos_node),
+            (self._bos_node, result.root, self.tokens[-1]),
         )
         root.adopt_kids()
         self.tree = root
@@ -371,18 +372,9 @@ class Document:
                     seen.add(id(kid))
                     stack.append(kid)
         crash_point("commit:rooted")
-        # Registry maintenance: drop stale entries, add fresh terminals.
-        registry: dict[int, tuple[Token, TerminalNode]] = {}
-        for token in self.tokens:
-            entry = self._token_nodes.get(id(token))
-            node = entry[1] if entry else self._fresh_nodes[id(token)]
-            registry[id(token)] = (token, node)
-        self._token_nodes = registry
-        crash_point("commit:registry")
         self.last_removed_terminals = self._removed_nodes
         self._removed_nodes = []
         self._edit_log = []
-        self._fresh_nodes = {}
         if self._error_count or any(n.is_error_node for n in result.new_nodes):
             self._error_count = len(error_regions(self.tree))
         else:
@@ -471,18 +463,16 @@ class Document:
         txn = self._transaction()
         try:
             try:
-                if self.tree is None:
-                    self.tokens = self.language.lexer.lex(self.text)
-                terminals = [TerminalNode(tok) for tok in self.tokens]
-                self._fresh_nodes = {
-                    id(tok): node for tok, node in zip(self.tokens, terminals)
-                }
                 # Batch re-derivation: the previous tree (if any) is
-                # abandoned wholesale, so the registry starts empty.
-                self._token_nodes = {}
+                # abandoned wholesale, so every token gets a new node.
+                if self.tree is None:
+                    tokens = self.language.lexer.lex(self.text)
+                else:
+                    tokens = [node.token for node in self.tokens]
+                self.tokens = [TerminalNode(tok) for tok in tokens]
                 self._removed_nodes = []
                 crash_point("isolate:reparse")
-                result = self._parser.parse_tolerant(terminals)
+                result = self._parser.parse_tolerant(self.tokens)
             except ParseError:
                 txn.rollback(self)
                 return None
@@ -549,20 +539,13 @@ class Document:
         on restore, warm-started by the parse-table cache) and only
         describes a *committed* version: a dirty document -- text ahead
         of the tree -- returns None and the caller falls back to a
-        text-only snapshot.  Tokens, terminal nodes, and the tree share
-        object identity inside one payload, so a single pickle of the
-        returned dict preserves the identity structure the incremental
-        parser depends on.
+        text-only snapshot.  The token stream's nodes are the tree's
+        terminals, so a single pickle of the returned dict preserves the
+        identity structure the incremental parser depends on.
         """
         if self.tree is None or self.dirty:
             return None
         crash_point("persist:doc-capture")
-        nodes = []
-        for token in self.tokens:
-            entry = self._token_nodes.get(id(token))
-            if entry is None:
-                return None  # registry out of step: refuse, don't guess
-            nodes.append(entry[1])
         return {
             "text": self.text,
             "version": self.version,
@@ -571,7 +554,6 @@ class Document:
             "error_count": self._error_count,
             "tree": self.tree,
             "tokens": self.tokens,
-            "nodes": nodes,
         }
 
     @classmethod
@@ -596,10 +578,6 @@ class Document:
             raise ValueError("snapshot payload has no well-formed root")
         doc.tree = tree
         doc.tokens = payload["tokens"]
-        doc._token_nodes = {
-            id(token): (token, node)
-            for token, node in zip(doc.tokens, payload["nodes"])
-        }
         # Future commits wrap the body with the restored bos terminal,
         # keeping the root's first kid stable across the restart.
         doc._bos_node = tree.kids[0]
@@ -614,11 +592,15 @@ class Document:
         return unparse(self.tree)
 
     def terminal_for_offset(self, offset: int) -> TerminalNode | None:
-        """The terminal node whose span contains ``offset``."""
+        """The committed terminal node whose span contains ``offset``.
+
+        None when no token spans it, or when that token was relexed
+        since the last parse and so has no place in the tree yet.
+        """
         pos = 0
-        for token in self.tokens:
-            if pos <= offset < pos + token.width:
-                entry = self._token_nodes.get(id(token))
-                return entry[1] if entry else None
-            pos += token.width
+        for node in self.tokens:
+            width = node.token.width
+            if pos <= offset < pos + width:
+                return node if node.parent is not None else None
+            pos += width
         return None

@@ -4,25 +4,29 @@ Incremental reparsing mutates the previous version's tree *in place*:
 subtree shifts overwrite recorded parse states, the node-retention pool
 hands old production nodes to new reductions, local ambiguity packing
 appends alternatives to existing choice nodes, commit re-adopts parent
-pointers along fresh structure, and balanced-sequence repair splices
-directly into the committed spine.  An exception anywhere in that
-pipeline would otherwise leave the document half-mutated -- parsed-tree
-bookkeeping out of sync with the text, parent chains pointing into
-discarded structure.
+pointers along fresh structure -- the token stream's uncommitted nodes
+included -- and balanced-sequence repair splices directly into the
+committed spine.  An exception anywhere in that pipeline would
+otherwise leave the document half-mutated -- parsed-tree bookkeeping
+out of sync with the text, parent chains pointing into discarded
+structure.
 
 :class:`JournalTransaction` implements the rollback guarantee: a
 first-touch :class:`~repro.dag.journal.MutationJournal` records each
 node's old field values the first time a mutation site writes it;
-rollback replays the journal in reverse.  Begin cost is O(tokens)
-(shallow copies of the document's scalar bookkeeping, at C speed);
-per-parse node cost is O(touched region), which keeps the *incremental*
-cost of a parse incremental.
+rollback replays the journal in reverse.  Begin cost is O(edits since
+the last parse): the token stream is kept by reference, which is sound
+because every writer rebinds ``Document.tokens`` to a new list and
+never mutates one in place.  Per-parse node cost is O(touched region),
+which keeps the *incremental* cost of a parse incremental.
 
 Rollback is value-faithful: node *identities* survive, so annotations,
-the token registry, and any outstanding edit log keep working after a
-restore exactly as before the failed attempt.  The O(tree) value
-snapshot that the fault-injection suite compares against lives in
-:mod:`repro.testing.oracles`.
+the token stream, and any outstanding edit log keep working after a
+restore exactly as before the failed attempt.  That includes the
+stream's freshness marker: a relexed node's ``parent`` is written only
+through journaled sites, so a rollback returns it to ``None``.  The
+O(tree) value snapshot that the fault-injection suite compares against
+lives in :mod:`repro.testing.oracles`.
 """
 
 from __future__ import annotations
@@ -33,18 +37,17 @@ from ..dag.journal import MutationJournal, activate, deactivate
 class _DocumentState:
     """The document's own (non-node) mutable state, captured shallowly.
 
-    Token lists and registries are copied at C speed; tree nodes are
-    *not* walked here -- node-level capture is the journal's job.
+    The token stream is held by reference (writers rebind it, never
+    mutate it); the short per-edit lists are copied.  Nodes are *not*
+    walked here -- node-level capture is the journal's job.
     """
 
     __slots__ = (
         "text",
         "version",
         "tokens",
-        "token_nodes",
         "removed_nodes",
         "edit_log",
-        "fresh_nodes",
         "last_result",
         "tree",
     )
@@ -53,11 +56,9 @@ class _DocumentState:
         doc = document
         self.text: str = doc.text
         self.version: int = doc.version
-        self.tokens = list(doc.tokens)
-        self.token_nodes = dict(doc._token_nodes)
+        self.tokens = doc.tokens
         self.removed_nodes = list(doc._removed_nodes)
         self.edit_log = list(doc._edit_log)
-        self.fresh_nodes = dict(doc._fresh_nodes)
         self.last_result = doc.last_result
         self.tree = doc.tree
 
@@ -65,11 +66,9 @@ class _DocumentState:
         doc = document
         doc.text = self.text
         doc.version = self.version
-        doc.tokens = list(self.tokens)
-        doc._token_nodes = dict(self.token_nodes)
+        doc.tokens = self.tokens
         doc._removed_nodes = list(self.removed_nodes)
         doc._edit_log = list(self.edit_log)
-        doc._fresh_nodes = dict(self.fresh_nodes)
         doc.last_result = self.last_result
         doc.tree = self.tree
 

@@ -95,36 +95,6 @@ class TestSymbolNode:
         assert SymbolNode(prod("S", term("a"))).state == NO_STATE
 
 
-class TestChangeTracking:
-    def test_mark_local_change_propagates(self):
-        a = term("a")
-        inner = prod("T", a)
-        outer = prod("S", inner)
-        outer.adopt_kids()
-        inner.adopt_kids()
-        a.mark_local_change()
-        assert a.local_changes
-        assert inner.nested_changes and outer.nested_changes
-        assert not outer.local_changes
-
-    def test_propagation_stops_at_marked_ancestor(self):
-        a = term("a")
-        inner = prod("T", a)
-        outer = prod("S", inner)
-        outer.adopt_kids()
-        inner.adopt_kids()
-        inner.nested_changes = True
-        a.mark_local_change()
-        # outer untouched because inner was already marked
-        assert not outer.nested_changes
-
-    def test_clear_changes(self):
-        a = term("a")
-        a.local_changes = a.nested_changes = a.right_invalid = True
-        a.clear_changes()
-        assert not a.has_changes()
-
-
 class TestAnnotations:
     def test_default_annotation(self):
         assert term("a").get_annotation("k", 42) == 42

@@ -73,25 +73,17 @@ class TestSeededCorruption:
         problems = validate_tree(doc.tree)
         assert any("n_terms" in p for p in problems)
 
-    def test_registry_missing_token(self):
+    def test_stream_node_replaced_by_copy(self):
         doc = parsed_doc()
-        doc._token_nodes.pop(id(doc.tokens[0]))
+        doc.tokens = [TerminalNode(doc.tokens[0].token)] + doc.tokens[1:]
         problems = validate_document(doc)
-        assert any("missing from registry" in p for p in problems)
+        assert any("node stream" in p for p in problems)
 
-    def test_registry_node_outside_tree(self):
+    def test_terminal_dropped_from_stream(self):
         doc = parsed_doc()
-        token = doc.tokens[0]
-        doc._token_nodes[id(token)] = (token, TerminalNode(token))
+        doc.tokens = doc.tokens[1:]
         problems = validate_document(doc)
-        assert any("outside the tree" in p for p in problems)
-
-    def test_dangling_registry_entry(self):
-        doc = parsed_doc()
-        ghost = Token("ID", "ghost")
-        doc._token_nodes[id(ghost)] = (ghost, TerminalNode(ghost))
-        problems = validate_document(doc)
-        assert any("dangling" in p for p in problems)
+        assert any("node stream" in p for p in problems)
 
     def test_text_mismatch(self):
         doc = parsed_doc()
@@ -101,9 +93,9 @@ class TestSeededCorruption:
 
     def test_leaked_scratch_state(self):
         doc = parsed_doc()
-        doc._fresh_nodes = {1: TerminalNode(Token("ID", "leak"))}
+        doc._removed_nodes = [TerminalNode(Token("ID", "leak"))]
         problems = validate_document(doc)
-        assert any("scratch" in p for p in problems)
+        assert any("removed nodes survive" in p for p in problems)
 
     def test_check_document_raises(self):
         doc = parsed_doc()

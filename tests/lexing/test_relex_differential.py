@@ -11,6 +11,7 @@ from random import Random
 
 import pytest
 
+from repro.dag.nodes import TerminalNode
 from repro.langs import get_language
 from repro.langs.generators import generate_calc_program, generate_minic
 from repro.lexing import relex, stream_text
@@ -39,18 +40,22 @@ def _view(tokens):
     return [(t.type, t.text, t.trivia, t.lookahead) for t in tokens]
 
 
+def _tokens(nodes):
+    return [node.token for node in nodes]
+
+
 def _run_session(language_name, base_text, snippets, seed):
     spec = get_language(language_name).lexer
     rng = Random(seed)
     text = base_text
-    tokens = spec.lex(text)
+    nodes = [TerminalNode(tok) for tok in spec.lex(text)]
     for _ in range(N_EDITS):
         offset, remove, insert = random_edit(rng, text, snippets)
         new_text = text[:offset] + insert + text[offset + remove :]
-        result = relex(spec, tokens, new_text, offset, remove, len(insert))
-        assert stream_text(result.tokens) == new_text
-        assert _view(result.tokens) == _view(spec.lex(new_text))
-        tokens, text = result.tokens, new_text
+        result = relex(spec, nodes, new_text, offset, remove, len(insert))
+        assert stream_text(_tokens(result.tokens)) == new_text
+        assert _view(_tokens(result.tokens)) == _view(spec.lex(new_text))
+        nodes, text = result.tokens, new_text
 
 
 @pytest.mark.parametrize("seed", SEEDS)

@@ -36,7 +36,6 @@ def make_snapshot(name: str, version: int, pad: str = "") -> SessionSnapshot:
         name=name,
         language="calc",
         grammar=None,
-        engine="incremental",
         balanced=True,
         text=text,
         base_text=text,
@@ -67,8 +66,7 @@ def snap(version):
     # accidentally produce a verifiable file.
     text = "x = %d;" % version + "#" * (version % 97)
     return SessionSnapshot(
-        name="shared", language="calc", grammar=None,
-        engine="incremental", balanced=True,
+        name="shared", language="calc", grammar=None, balanced=True,
         text=text, base_text=text, journal_tail=[],
         version=version, table_key="t" * 64, version_opened=True,
     )

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import Document, Language
+from repro.bench.workloads import numeric_token_sites
 from repro.dag.sequences import SequenceNode, parts_created
 from repro.langs.calc import calc_language, evaluate
 from repro.langs.generators import generate_calc_program
@@ -160,12 +161,7 @@ class TestBalancedVsUnbalancedEquivalence:
         balanced.parse()
         plain.parse()
         # Replace the edit_pos-th numeric literal in both documents.
-        sites = []
-        pos = 0
-        for token in balanced.tokens:
-            if token.type == "NUM":
-                sites.append((pos + len(token.trivia), len(token.text)))
-            pos += token.width
+        sites = numeric_token_sites(balanced)
         offset, length = sites[edit_pos % len(sites)]
         for doc in (balanced, plain):
             doc.edit(offset, length, str(value))

@@ -23,7 +23,6 @@ COMMIT_POINTS = [
     "commit:adopted",
     "commit:collapsed",
     "commit:rooted",
-    "commit:registry",
 ]
 RECOVER_POINTS = ["recover:after-revert", "recover:before-commit"]
 REPAIR_POINTS = ["repair:before-splice", "repair:after-splice"]

@@ -78,11 +78,20 @@ def fingerprint(doc):
     return (
         doc.text,
         doc.version,
-        [(id(t), t.text, t.trivia) for t in doc.tokens],
-        sorted((k, id(v[1])) for k, v in doc._token_nodes.items()),
+        # The stream's nodes with their freshness marker: a parentless
+        # node is uncommitted, so rollback must restore ``parent`` too.
+        [
+            (
+                id(n),
+                id(n.token),
+                n.token.text,
+                n.token.trivia,
+                id(n.parent) if n.parent is not None else None,
+            )
+            for n in doc.tokens
+        ],
         [id(n) for n in doc._removed_nodes],
         list(doc._edit_log),
-        sorted((k, id(v)) for k, v in doc._fresh_nodes.items()),
         id(doc.last_result) if doc.last_result is not None else None,
         id(doc.tree) if doc.tree is not None else None,
         tuple(nodes),
