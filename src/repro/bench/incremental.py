@@ -18,8 +18,10 @@ produces the canonical machine-readable benchmark artifact for the
 
 ``--smoke`` shrinks sizes and repetition counts so the run finishes in
 seconds (CI); ``--check`` exits non-zero when per-edit incremental
-latency fails to beat batch reparse at the largest size, or when the
-wide edit costs more than :data:`WIDE_EDIT_LIMIT` batch parses.
+latency fails to beat batch reparse at the largest size, when the
+wide edit costs more than :data:`WIDE_EDIT_LIMIT` batch parses, or when
+a clean edit entered error recovery (``doc.recoveries`` over an untimed
+pass of each point's edits).
 """
 
 from __future__ import annotations
@@ -94,6 +96,8 @@ def _bench_language(
 
         timing = time_fn(cycle, repeat=repeat, warmup=1)
         work = parse_work(doc.last_result.stats)
+        with obs.collecting() as clean_work:
+            cycle()
         # Observed work counters for one representative edit cycle
         # (apply + cancel = 2 edits, 2 parses): where the per-edit
         # time actually goes -- reuse vs rescan vs journal traffic.
@@ -108,6 +112,7 @@ def _bench_language(
                 "per_edit_seconds": timing.seconds / (2 * n_edits),
                 "per_edit_median_seconds": timing.median / (2 * n_edits),
                 "last_parse_work": work,
+                "recoveries": clean_work.get("doc.recoveries", 0),
                 "cycle_counters": {
                     k: v for k, v in sorted(cycle_work.items()) if v
                 },
@@ -238,10 +243,17 @@ def run(
 
 def check(report: dict) -> list[str]:
     """Regression gate: incremental must beat batch at the largest size,
-    and no single wide edit may cost more than WIDE_EDIT_LIMIT batch
-    parses."""
+    no single wide edit may cost more than WIDE_EDIT_LIMIT batch parses,
+    and no clean edit may enter error recovery."""
     problems = []
     for lang in report["languages"]:
+        for point in lang["points"]:
+            if point["recoveries"]:
+                problems.append(
+                    f"{lang['language']}: {point['recoveries']} clean "
+                    f"edit(s) entered error recovery at {point['tokens']} "
+                    "tokens"
+                )
         largest = lang["largest"]
         if largest["per_edit_seconds"] >= largest["batch_seconds"]:
             problems.append(
@@ -274,8 +286,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--check",
         action="store_true",
-        help="exit non-zero if incremental does not beat batch, or a "
-        "wide edit costs more than WIDE_EDIT_LIMIT batch parses",
+        help="exit non-zero if incremental does not beat batch, a wide "
+        "edit costs more than WIDE_EDIT_LIMIT batch parses, or a clean "
+        "edit enters error recovery",
     )
     parser.add_argument("--edits", type=int, default=None)
     parser.add_argument("--repeat", type=int, default=None)
@@ -318,7 +331,8 @@ def main(argv: list[str] | None = None) -> int:
             return 1
         print(
             "check passed: incremental beats batch at the largest size, "
-            f"and wide edits stay within {WIDE_EDIT_LIMIT}x batch"
+            f"wide edits stay within {WIDE_EDIT_LIMIT}x batch, and no "
+            "clean edit entered error recovery"
         )
     return 0
 

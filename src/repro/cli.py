@@ -39,8 +39,8 @@ Commands:
   description (the registry the fault-suite coverage gate enforces).
 
 ``LANG.g`` is a grammar-DSL description (see `repro.grammar.dsl`), or
-the name of a bundled language (``calc``, ``minic``, ``minifortran``,
-``lr2``) when no such file exists.
+the name of a bundled language (``calc``, ``minic``, ``fullc``,
+``minifortran``, ``lr2``) when no such file exists.
 
 The global ``--profile`` flag wraps any command in cProfile and prints
 the top 20 functions by cumulative time — the quickest way to see
@@ -303,7 +303,7 @@ def _service_stats(target: str, as_json: bool) -> int:
         info = sessions[name]
         print(
             f"  {name:24s} v{info.get('version', 0):<5d} "
-            f"queue={info.get('queued', 0)}"
+            f"queue={info.get('queue_depth', 0)}"
         )
     if dispatcher:
         print(

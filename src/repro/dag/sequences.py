@@ -273,43 +273,52 @@ class SequenceNode(Node):
         return f"SequenceNode({self._symbol!r}, {self.n_items} items)"
 
 
-def split_for_breakdown(seq: SequenceNode, has_changes) -> list[Node]:
+def split_for_breakdown(
+    seq: SequenceNode, has_changes, shape: tuple[int, int] | None
+) -> list[Node]:
     """Decompose a *changed* sequence node for the parser's input stream.
 
-    Because the grammar's sequences are left-recursive, any *prefix* of
-    items is itself a valid sequence instance: the unchanged prefix is
-    re-packaged as a SequenceNode (same recorded state, so the parser
-    shifts it whole and grows it by ordinary ``aux: aux elem``
-    reductions), the subtree containing the first change is exposed, and
-    the suffix parts follow raw (they decompose to items on demand).
-    O(lg n) nodes are produced.
+    A prefix of a left-recursive sequence's items is itself an instance
+    when it holds ``base + k * step`` items (``shape``, from
+    :attr:`Grammar.sequence_shapes`; None reuses no prefix).  The
+    unchanged prefix, trimmed to the longest such count, is re-packaged
+    as a SequenceNode (same recorded state, so the parser shifts it whole
+    and grows it by ordinary ``aux: aux elem`` reductions); the trimmed
+    items (a separated list's trailing separator), the subtree holding
+    the first change and the suffix parts follow raw, to decompose on
+    demand.  O(lg n) nodes are produced.
     """
     root = seq.kids[0] if seq.kids else None
     if root is None:
         return []
-    prefix: list[Node] = []
+    prefix: Node | None = None
     suffix: list[Node] = []
     node = root
     while isinstance(node, SequencePart):
         left, right = node.kids
         if not has_changes(left):
-            prefix.append(left)
+            prefix = _concat(seq.symbol, prefix, left)
             node = right
         else:
             suffix.append(right)
             node = left
     out: list[Node] = []
-    if prefix:
-        combined: Node | None = None
-        for part in prefix:
-            combined = _concat(seq.symbol, combined, part)
+    keep = 0
+    if prefix is not None and shape is not None:
+        base, step = shape
+        count = _items_of(prefix)
+        if count >= base:
+            keep = count - (count - base) % step
+    instance, rest = _split(seq.symbol, prefix, keep)
+    if instance is not None:
         # Deliberately NOT adopted here: parsing may still fail, and
         # mutating the shared parts' parent pointers would corrupt the
         # committed tree's upward chains.  Adoption happens at commit,
         # when the collapse pass extends this prefix (replace_items ->
         # _adopt_spine).
-        prefix_seq = SequenceNode(seq.symbol, combined, seq.state)
-        out.append(prefix_seq)
+        out.append(SequenceNode(seq.symbol, instance, seq.state))
+    if rest is not None:
+        out.append(rest)
     out.append(node)
     out.extend(reversed(suffix))
     return out

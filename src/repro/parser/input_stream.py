@@ -27,8 +27,16 @@ from .plan import ParsePlan
 class InputStream:
     """Lookahead management over old subtrees and fresh terminals."""
 
-    def __init__(self, initial: list[Node], plan: ParsePlan | None = None) -> None:
+    def __init__(
+        self,
+        initial: list[Node],
+        plan: ParsePlan | None = None,
+        sequence_shapes: dict[str, tuple[int, int]] | None = None,
+    ) -> None:
         self._plan = plan if plan is not None else ParsePlan()
+        # Grammar.sequence_shapes: which item prefixes of a changed
+        # balanced sequence are instances the parser may shift whole.
+        self._shapes = sequence_shapes or {}
         # Top of stack = leftmost pending input.
         self._stack: list[Node] = list(reversed(initial))
         self._insertions_done: set[int] = set()
@@ -87,7 +95,11 @@ class InputStream:
 
                     self._stack.extend(
                         reversed(
-                            split_for_breakdown(top, self._plan.has_changes)
+                            split_for_breakdown(
+                                top,
+                                self._plan.has_changes,
+                                self._shapes.get(top.symbol),
+                            )
                         )
                     )
                 else:

@@ -53,20 +53,6 @@ __all__ = [
 # -- collapsing ---------------------------------------------------------------
 
 
-def _recursive_sequence_symbols(grammar: Grammar) -> frozenset[str]:
-    """Sequence nonterminals with a self-recursive spine production.
-
-    Distinguishes true spines (``aux : aux elem``) from the non-recursive
-    wrappers the EBNF expander also marks (``aux : eps | spine``); only
-    the former are collapsed.
-    """
-    symbols = set()
-    for prod in grammar.productions:
-        if prod.is_sequence and prod.lhs in prod.rhs:
-            symbols.add(prod.lhs)
-    return frozenset(symbols)
-
-
 def _spine_items(
     node: Node, replacements: dict[int, Node]
 ) -> tuple[list[Node], SequenceNode | None]:
@@ -114,7 +100,9 @@ def collapse_sequences(
     if the tree root itself was replaced); kids of other new nodes are
     patched in place.
     """
-    recursive = _recursive_sequence_symbols(grammar)
+    # Only true spines (``aux : aux elem``) collapse, not the
+    # non-recursive wrappers the EBNF expander also marks.
+    recursive = grammar.sequence_shapes
     spine_nodes = [
         n
         for n in new_nodes
@@ -371,7 +359,7 @@ def _refresh_ancestors(node: Node) -> None:
     synthesized counts unknown for the next census."""
     current = node.parent
     while current is not None:
-        if isinstance(current, ProductionNode):
+        if isinstance(current, (ProductionNode, ErrorNode)):
             current.replace_kids(current.kids)  # recomputes n_terms
         elif isinstance(current, (SequenceNode, SequencePart)):
             touch(current)

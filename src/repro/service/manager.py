@@ -207,7 +207,7 @@ class SessionManager:
         First choice is an *idle* session (no queued or in-flight work).
         With a snapshot store attached, a saturated pool falls back to
         the LRU *quiesced* session -- one parked on a deferred batch,
-        whose accepted edits are all captured by the journal -- instead
+        whose accepted edits are all in the text its snapshot holds -- instead
         of failing the open with ``capacity``.  Returns False only when
         nothing is evictable.
         """

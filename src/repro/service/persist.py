@@ -11,8 +11,9 @@ session pool both properties:
   session: the authoritative text, the committed document version, the
   language identity (built-in name or inline grammar-DSL source, plus
   the parse-table fingerprint the shared table cache warms from), the
-  *coalesced journal tail* -- edit specs that transform the committed
-  text into the authoritative text -- and the degradation-ladder state.
+  *journal tail* -- the splice that turns the committed text into the
+  authoritative text, then one splice per log record -- and the
+  degradation-ladder state.
   When the committed parse DAG is healthy it rides along as a pickled
   payload, so rehydration replays one incremental pass over the journal
   tail instead of a batch reparse;
@@ -65,7 +66,7 @@ import struct
 import sys
 import tempfile
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 try:
@@ -75,7 +76,6 @@ except ImportError:  # pragma: no cover - non-posix: claim files only
 
 from .. import obs
 from ..testing.faults import crash_point, register_points
-from .protocol import EditSpec
 
 register_points(**{
     "persist:serialize": "session snapshot about to be pickled",
@@ -89,11 +89,12 @@ register_points(**{
 })
 
 # Bytes identifying a snapshot file; changing the layout bumps FORMAT.
-# Format 4: the document payload's token stream is the tree's own
-# terminal nodes (no parallel node list), pickled nodes carry no
-# change-flag slots, and SessionSnapshot has no engine field.
+# Format 5: SessionSnapshot has no counts field, and a checkpoint's
+# journal tail is at most the one splice from the committed text to the
+# session's text (format 4 carried the session's per-request edit
+# specs).
 MAGIC = b"REPROSNAP"
-FORMAT = 4
+FORMAT = 5
 
 # MAGIC + format (u32) + checkpoint length (u64) + sha256 of the checkpoint.
 _HEADER = struct.Struct(f"<{len(MAGIC)}sIQ32s")
@@ -178,13 +179,8 @@ class SessionSnapshot:
     version: int
     table_key: str  # parse-table cache fingerprint (warm-start identity)
     version_opened: bool
-    counts: dict[str, int] = field(default_factory=dict)
     doc_payload: dict | None = None  # Document.snapshot_state(), if healthy
     log_records: int = 0  # log records load() folded into text and tail
-
-    def tail_specs(self) -> list[EditSpec]:
-        return [EditSpec(at, remove, insert)
-                for at, remove, insert in self.journal_tail]
 
 
 def _decode(blob: bytes) -> tuple[SessionSnapshot, int]:

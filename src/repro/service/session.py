@@ -28,13 +28,15 @@ edit in order -- is the client's view of the buffer and the service's
 ground truth.  A flush must land the document exactly on the batch's
 target text, by the cheapest rung that works:
 
-1. **incremental**: apply the coalesced specs, ``doc.parse()`` (which
-   internally runs the PR-1 recovery ladder; error isolation preserves
-   the text);
-2. **batch rebuild**: any failure -- an injected fault, an invariant
-   violation, or a parse whose history-sensitive recovery *reverted*
-   edits the client still has in its buffer -- discards the document
-   and reparses the target text from scratch (error-tolerant);
+1. **incremental**: apply the coalesced specs and parse the text as
+   typed (:func:`_parse_as_typed`): an incremental parse, and on a
+   syntax error panic-mode isolation of the same document
+   (:meth:`Document.isolate`), which keeps every edit and reports the
+   damage as error regions.  The session never asks the document to
+   revert edits the client still has in its buffer;
+2. **batch rebuild**: a stale document or any other failure -- an
+   injected fault, an invariant violation -- discards the document and
+   parses the target text from scratch, the same way;
 3. **structured error**: if even the rebuild fails, every waiter gets
    an ``analysis`` error reply and the session stays alive; the next
    request finds the document stale and re-runs the ladder.
@@ -45,19 +47,17 @@ exception escapes the worker, and recovery needs no operator action.
 Durability
 ----------
 
-Every accepted edit is also appended to a *pending journal* -- seq-tagged
-spec lists transforming ``flushed_text`` (the last text the document
-committed) into ``shadow_text``.  A successful flush advances
-``flushed_text`` and drops the covered entries; a rung-3 failure leaves
-them pending, so the journal stays exact across degradation.
-:meth:`Session.make_snapshot` captures a checkpoint -- ``(text, version,
-journal tail, pickled committed DAG when healthy)`` -- and
-:meth:`Session.restore_from` replays the tail over the restored DAG --
-one incremental pass -- with a text-only batch-rebuild fallback at every
+After every flush the document holds the client's text, so the durable
+form needs no journal of its own: :meth:`Session.make_snapshot` captures
+a checkpoint -- ``(text, version, pickled committed DAG when healthy)``
+plus the one splice from the committed text to ``shadow_text``, which is
+empty unless deferred edits are parked -- and :meth:`Session.restore_from`
+applies that tail over the restored DAG and parses it as typed -- one
+incremental pass -- with a text-only batch-rebuild fallback at every
 failure point.  The ``on_persist`` hook (wired by the manager to the
 snapshot store) runs *before* replies resolve, so an acked batch is a
 persisted batch; it usually appends one log record for the batch's text
-change, and the store's load folds that log into the journal tail
+change, and the store's load folds that log into the tail
 ``restore_from`` replays.  ``persisted_text`` and ``log_records`` are
 the manager's bookkeeping of what the store holds.
 """
@@ -69,11 +69,12 @@ from dataclasses import dataclass, field
 
 from .. import obs
 from ..language import Language
+from ..parser.iglr import ParseError
 from ..semantics.analyzer import TypedefAnalyzer
 from ..tables.cache import grammar_fingerprint
 from ..testing.faults import crash_point, register_points
-from ..versioned.document import Document
-from .persist import SessionSnapshot
+from ..versioned.document import AnalysisReport, Document
+from .persist import SessionSnapshot, _splice
 from .protocol import (
     E_ANALYSIS,
     E_BACKPRESSURE,
@@ -109,7 +110,6 @@ class _Work:
     echo_text: bool = False
     base: str = ""  # shadow text before this item's specs
     target: str = ""  # shadow text after this item's specs
-    seq: int = 0  # journal sequence this item is ordered after
     # "invalidate" payload: an upstream document's export delta.
     names_added: set[str] = field(default_factory=set)
     names_removed: set[str] = field(default_factory=set)
@@ -119,6 +119,23 @@ class _Work:
     new_language: Language | None = None
     new_label: str | None = None
     new_grammar_source: str | None = None
+
+
+def _parse_as_typed(doc: Document) -> AnalysisReport:
+    """The session's parse: commit ``doc``'s text as it stands.
+
+    Incremental when the text parses, panic-mode isolation of the same
+    document when it does not -- never the library ladder's reversion,
+    because the client's buffer owns the text.  Raises the
+    :class:`ParseError` only when even isolation fails.
+    """
+    try:
+        return doc.parse(recover=False)
+    except ParseError:
+        report = doc.isolate()
+        if report is None:
+            raise
+        return report
 
 
 def _resolve(work: _Work, reply: dict) -> None:
@@ -172,11 +189,6 @@ class Session:
         # Exports announced by the last analysis (None = never analyzed
         # this session lifetime; the first analysis re-announces).
         self.last_exports: set[str] | None = None
-        # Journal tail: seq-tagged spec lists transforming flushed_text
-        # (the text the document last committed) into shadow_text.
-        self.flushed_text = ""
-        self.pending_specs: list[tuple[int, list[EditSpec]]] = []
-        self._seq = 0
         self._parked = False  # worker awaiting input with a deferred batch
         # Manager's record of the session's snapshot file: the text it
         # holds (None until a warm checkpoint is on disk) and how many
@@ -210,8 +222,8 @@ class Session:
         """Safe to snapshot: idle, or parked awaiting a deferred batch.
 
         A parked worker holds accepted-but-unflushed edits -- all of them
-        already in ``shadow_text`` and the pending journal, so a snapshot
-        taken now captures exactly the client's view.
+        already in ``shadow_text``, so a snapshot taken now captures
+        exactly the client's view.
         """
         return (not self.busy) or self._parked
 
@@ -225,19 +237,14 @@ class Session:
     def open_with(self, text: str, rid: object) -> asyncio.Future:
         """Queue the initial parse; the reply mirrors an edit reply."""
         self.shadow_text = text
-        self._seq += 1
         work = _Work(
             "edits",
             rid,
             asyncio.get_running_loop().create_future(),
             base=text,
             target=text,
-            seq=self._seq,
         )
-        future = self._enqueue(work)
-        if not future.done():
-            self.pending_specs.append((work.seq, [EditSpec(0, 0, text)]))
-        return future
+        return self._enqueue(work)
 
     def submit_edits(
         self,
@@ -256,7 +263,6 @@ class Session:
         except ValueError as error:
             future.set_result(error_reply(rid, E_EDIT, str(error)))
             return future
-        self._seq += 1
         work = _Work(
             "edits",
             rid,
@@ -266,12 +272,10 @@ class Session:
             echo_text=echo_text,
             base=base,
             target=text,
-            seq=self._seq,
         )
         future = self._enqueue(work)
         if not future.done():  # accepted: the edits are now authoritative
             self.shadow_text = text
-            self.pending_specs.append((work.seq, list(specs)))
             self.counts["edits_received"] += len(specs)
             obs.incr("service.edits_received", len(specs))
         return future
@@ -286,9 +290,7 @@ class Session:
             rid,
             asyncio.get_running_loop().create_future(),
             echo_text=echo_text,
-            base=self.shadow_text,
             target=self.shadow_text,
-            seq=self._seq,
         )
         return self._enqueue(work)
 
@@ -312,9 +314,7 @@ class Session:
             "reload",
             rid,
             asyncio.get_running_loop().create_future(),
-            base=self.shadow_text,
             target=self.shadow_text,
-            seq=self._seq,
             new_language=language,
             new_label=label,
             new_grammar_source=grammar_source,
@@ -334,9 +334,7 @@ class Session:
             "invalidate",
             rid,
             asyncio.get_running_loop().create_future(),
-            base=self.shadow_text,
             target=self.shadow_text,
-            seq=self._seq,
             names_added=set(added),
             names_removed=set(removed),
         )
@@ -437,9 +435,9 @@ class Session:
                 except asyncio.QueueEmpty:
                     if not batch[-1].defer:
                         return batch, None
-                    # Parked: every accepted edit is in shadow_text and
-                    # the journal, so the session is snapshot-safe (and
-                    # forcibly evictable) while we wait.
+                    # Parked: every accepted edit is in shadow_text, so
+                    # the session is snapshot-safe (and forcibly
+                    # evictable) while we wait.
                     self._parked = True
                     try:
                         nxt = await self.queue.get()
@@ -472,7 +470,6 @@ class Session:
         obs.incr("service.edits_applied", len(merged))
         if len(batch) > 1:
             obs.incr("service.requests_batched", len(batch) - 1)
-        report = None
         degraded = False
         with obs.span(
             "service.batch", doc=self.name, edits=len(specs), merged=len(merged)
@@ -488,15 +485,8 @@ class Session:
                     for spec in merged:
                         self.doc.edit(spec.at, spec.remove, spec.insert)
                     crash_point("service:before-parse")
-                    report = self.doc.parse()
+                    report = _parse_as_typed(self.doc)
                     self.counts["parses"] += 1
-                    if self.doc.text != target:
-                        # History-sensitive recovery reverted edits the
-                        # client still has in its buffer; the client's
-                        # text is authoritative, so fall back to an
-                        # error-isolating batch parse of the target.
-                        report = self._rebuild(target)
-                        degraded = True
             except asyncio.CancelledError:
                 raise
             except Exception:
@@ -512,7 +502,6 @@ class Session:
             self.counts["degraded"] += 1
             obs.incr("service.degraded")
         self.version_opened = True
-        self._advance_journal(batch[-1].seq, target)
         if self._on_persist is not None:
             # Write-ahead: persist before replies resolve, so an acked
             # batch is a persisted batch (the kill -9 suite relies on
@@ -539,7 +528,7 @@ class Session:
         if self._on_flush is not None:
             self._on_flush(self)
 
-    def _rebuild(self, target: str):
+    def _rebuild(self, target: str) -> AnalysisReport:
         """Ladder rung 2: error-tolerant batch reparse of the target text."""
         crash_point("service:rebuild")
         self.counts["rebuilds"] += 1
@@ -547,7 +536,7 @@ class Session:
         doc = Document(
             self.language, target, balanced_sequences=self.balanced
         )
-        report = doc.parse()
+        report = _parse_as_typed(doc)
         self.doc = doc
         return report
 
@@ -565,13 +554,6 @@ class Session:
                     recoverable=True,
                 ),
             )
-
-    def _advance_journal(self, seq: int, target: str) -> None:
-        """A flush landed on ``target``: drop the journal it covered."""
-        self.flushed_text = target
-        self.pending_specs = [
-            entry for entry in self.pending_specs if entry[0] > seq
-        ]
 
     def _handle(self, work: _Work) -> bool:
         """A non-edit op; pending edits have already been flushed."""
@@ -601,7 +583,6 @@ class Session:
             ):
                 self._rebuild(work.target)
                 self.version_opened = True
-                self._advance_journal(work.seq, work.target)
             if work.kind == "reload":
                 fields = self._state_fields()
                 fields["reloaded"] = True
@@ -622,7 +603,7 @@ class Session:
                 fields = self._state_fields()
                 fields["persisted"] = persisted
             elif work.kind == "parse":
-                report = self.doc.parse()
+                report = _parse_as_typed(self.doc)
                 self.counts["parses"] += 1
                 fields = self._state_fields()
                 fields.update(
@@ -776,41 +757,24 @@ class Session:
     def make_snapshot(self) -> SessionSnapshot:
         """Capture the session's durable form: a full checkpoint.
 
-        The journal tail (``flushed_text`` -> ``shadow_text``) is
-        verified by replay before it is trusted; the pickled document
-        payload rides along only when the committed DAG exactly matches
-        ``flushed_text``.  Any inconsistency degrades to an insert-all
-        snapshot -- robustness never depends on the warm path.
+        The pickled document payload rides along when the committed DAG
+        is healthy, with the one splice from its text to ``shadow_text``
+        (empty unless deferred edits are parked) as the journal tail.
+        Without a healthy DAG the snapshot is text-only: rehydration is
+        then one batch parse of the text -- robustness never depends on
+        the warm path.
         """
         crash_point("persist:capture")
-        base_text = self.flushed_text
-        tail = [
-            (spec.at, spec.remove, spec.insert)
-            for _seq, specs in self.pending_specs
-            for spec in specs
-        ]
         doc_payload = None
-        if (
-            self.doc is not None
-            and not self.doc.dirty
-            and self.doc.text == base_text
-        ):
-            doc_payload = self.doc.snapshot_state()
+        if self.doc is not None:
+            doc_payload = self.doc.snapshot_state()  # None when dirty
         if doc_payload is None:
-            # No healthy committed DAG to replay against: collapse the
-            # journal so rehydration is one batch parse of the text.
             base_text, tail = "", [(0, 0, self.shadow_text)]
         else:
-            text = base_text
-            try:
-                for at, remove, insert in tail:
-                    text = EditSpec(at, remove, insert).apply(text)
-            except ValueError:
-                text = None
-            if text != self.shadow_text:
-                obs.incr("persist.capture_fallback")
-                base_text, tail = "", [(0, 0, self.shadow_text)]
-                doc_payload = None
+            base_text = self.doc.text
+            tail = []
+            if base_text != self.shadow_text:
+                tail = [_splice(base_text, self.shadow_text)]
         label = self.language_label
         inline = label == "<inline>"
         return SessionSnapshot(
@@ -830,7 +794,6 @@ class Session:
                 self.language.grammar, self.language.table.method, True
             ),
             version_opened=self.version_opened,
-            counts=dict(self.counts),
             doc_payload=doc_payload,
         )
 
@@ -838,8 +801,9 @@ class Session:
         """Rehydrate from a snapshot: one incremental pass, not a rebuild.
 
         Restores the committed DAG, replays the journal tail (the
-        checkpoint's own tail, then the log records the store folded in,
-        one edit each), and runs a single incremental parse.  *Any*
+        checkpoint's own splice, then the log records the store folded
+        in, one edit each), and parses the result as typed: one
+        incremental pass, isolating a syntax error in place.  *Any*
         failure falls back to text-only state -- the next request's
         flush finds ``doc is None`` and runs the ordinary degradation
         ladder, so a bad payload costs a batch reparse, never a crash.
@@ -866,29 +830,17 @@ class Session:
                 doc = Document.restore_state(
                     self.language, snapshot.doc_payload
                 )
-                for spec in snapshot.tail_specs():
-                    doc.edit(spec.at, spec.remove, spec.insert)
+                for at, remove, insert in snapshot.journal_tail:
+                    doc.edit(at, remove, insert)
                 crash_point("persist:rehydrate-parse")
                 if doc.dirty:
-                    doc.parse()
-                if doc.text != snapshot.text:
-                    raise ValueError(
-                        "rehydrated text diverges from snapshot text"
-                    )
+                    _parse_as_typed(doc)
             except Exception:
                 doc = None
+        self.doc = doc
         if doc is not None:
-            self.doc = doc
-            self.flushed_text = doc.text
-            self.pending_specs = []
             obs.incr("persist.rehydrate_incremental")
         else:
-            self.doc = None
-            self.flushed_text = ""
-            self._seq += 1
-            self.pending_specs = [
-                (self._seq, [EditSpec(0, 0, snapshot.text)])
-            ]
             obs.incr("persist.rehydrate_rebuild")
 
     # -- introspection --------------------------------------------------------
@@ -909,8 +861,5 @@ class Session:
             "quiesced": self.quiesced,
             "restored": self.restored,
             "semantics": self.semantics_active,
-            "journal_edits": sum(
-                len(specs) for _seq, specs in self.pending_specs
-            ),
             "counts": dict(self.counts),
         }

@@ -14,7 +14,9 @@ last commit is a new node with no parent yet.
   document analyzable: history-sensitive non-correcting recovery reverts
   the most recent offending modifications when a clean prior version
   exists, and panic-mode error isolation confines the damage to
-  :class:`~repro.dag.nodes.ErrorNode` regions when it does not.
+  :class:`~repro.dag.nodes.ErrorNode` regions when it does not;
+* :meth:`isolate` runs that isolation on its own, for a client whose
+  text is authoritative and must never see its edits reverted.
 
 Every parse is transactional: a first-touch mutation journal (see
 `repro.versioned.transactions`) records old values as the pipeline
@@ -34,7 +36,7 @@ from dataclasses import dataclass, field
 
 from .. import obs
 from ..dag.journal import touch
-from ..dag.nodes import ErrorNode, Node, ProductionNode, TerminalNode
+from ..dag.nodes import UNKNOWN, ErrorNode, Node, ProductionNode, TerminalNode
 from ..dag.traversal import census, error_regions, unparse
 from ..dag.validate import check_document, validation_enabled
 from ..language import Language
@@ -53,7 +55,6 @@ register_points(**{
     "commit:collapsed": "sequence spines collapsed to balanced form",
     "commit:rooted": "new root installed, parents re-adopted",
     "recover:after-revert": "one edit reverted during history-sensitive recovery",
-    "recover:before-commit": "reverted prefix parses, about to re-incorporate",
     "isolate:reparse": "panic-mode tolerant reparse about to run",
     "persist:doc-capture": "document snapshot payload being assembled",
     "persist:doc-restore": "document state being rebuilt from a payload",
@@ -74,7 +75,7 @@ class Edit:
 
 @dataclass
 class AnalysisReport:
-    """Outcome of :meth:`Document.parse`.
+    """Outcome of :meth:`Document.parse` or :meth:`Document.isolate`.
 
     ``error_regions`` counts the isolated error regions in the committed
     tree (zero for a clean parse); ``recovered`` is True when the tree
@@ -239,27 +240,28 @@ class Document:
 
     def _parse_attempt(self) -> AnalysisReport:
         """One straight-line parse + commit, no recovery."""
-        if self.balanced_sequences and self.tree is not None:
-            repaired = self._attempt_sequence_repair()
-            if repaired is not None:
-                return repaired
-        result = self._attempt_parse()
+        if self.tree is None:
+            self.tokens = [
+                TerminalNode(tok) for tok in self.language.lexer.lex(self.text)
+            ]
+            stream = InputStream(self.tokens)
+        else:
+            if self.balanced_sequences:
+                repaired = self._attempt_sequence_repair()
+                if repaired is not None:
+                    return repaired
+            stream = InputStream(
+                [self.tree.kids[1], self.tree.kids[2]],
+                self._build_plan(),
+                self.language.grammar.sequence_shapes,
+            )
+        result = self._parser.parse(stream)
         self._commit(result)
         return AnalysisReport(
             stats=result.stats,
             ambiguous_regions=self._choice_count(),
             error_regions=self._error_count,
         )
-
-    def _attempt_parse(self) -> ParseResult:
-        if self.tree is None:
-            self.tokens = [
-                TerminalNode(tok) for tok in self.language.lexer.lex(self.text)
-            ]
-            return self._parser.parse(InputStream(self.tokens))
-        initial: list[Node] = [self.tree.kids[1], self.tree.kids[2]]
-        stream = InputStream(initial, self._build_plan())
-        return self._parser.parse(stream)
 
     def fresh_runs(self) -> list[tuple[list[TerminalNode], TerminalNode | None]]:
         """Maximal runs of uncommitted stream nodes, left to right.
@@ -360,6 +362,9 @@ class Document:
         # navigation (change propagation, sequence repair) needs parents
         # that are *in* the tree, so give in-tree parents the last word.
         # O(new nodes): old subtrees are internally consistent already.
+        # New items spliced into a balanced sequence sit under parts
+        # built this commit, which are not parse results but are the
+        # only parts whose counts are still unknown.
         new_ids = {id(n) for n in result.new_nodes}
         seen: set[int] = set()
         stack: list[Node] = [root]
@@ -368,7 +373,10 @@ class Document:
             for kid in node.kids:
                 touch(kid)
                 kid.parent = node
-                if id(kid) in new_ids and id(kid) not in seen:
+                if id(kid) not in seen and (
+                    id(kid) in new_ids
+                    or (kid.n_nodes == UNKNOWN and kid.is_sequence_part)
+                ):
                     seen.add(id(kid))
                     stack.append(kid)
         crash_point("commit:rooted")
@@ -409,7 +417,7 @@ class Document:
            modifications.
         """
         if self.tree is None or self._error_count:
-            report = self._parse_isolated()
+            report = self.isolate()
             if report is not None:
                 return report
             if self.tree is None:
@@ -425,43 +433,41 @@ class Document:
             )
             reverted.append(edit)
             crash_point("recover:after-revert")
+            # The trial is the commit: a reverted prefix that parses is
+            # incorporated by this very attempt.
             attempt = self._transaction()
             try:
-                try:
-                    self._attempt_parse()
-                except ParseError:
-                    # A failed trial must not leak scratch state (fresh
-                    # terminal nodes, clobbered parse states) into the
-                    # next one: roll back to the post-revert state.
-                    attempt.rollback(self)
-                    continue
-                # The reverted prefix parses.  Discard the trial's
-                # scratch and in-place mutations, then incorporate it
-                # through the full pipeline -- which gets another shot
-                # at the sequence-repair fast path for the surviving
-                # edits.
+                report = self._parse_attempt()
+            except ParseError:
+                # A failed trial must not leak scratch state (fresh
+                # terminal nodes, clobbered parse states) into the next
+                # one: roll back to the post-revert state.
                 attempt.rollback(self)
+                continue
             finally:
                 attempt.close()
-            crash_point("recover:before-commit")
-            report = self._parse_attempt()
+            obs.incr("doc.recoveries")
             report.reverted_edits = reverted
             return report
         # Reversion exhausted the history without converging.  Re-apply
         # the edits (by rolling back to the pre-parse state) and isolate
         # the errors instead.
         txn.rollback(self)
-        return self._parse_isolated()
+        return self.isolate()
 
-    def _parse_isolated(self) -> AnalysisReport | None:
-        """Batch reparse with panic-mode error isolation (paper 4.3).
+    def isolate(self) -> AnalysisReport | None:
+        """Commit the current text with its errors isolated (paper 4.3).
 
-        Commits a tree in which unparseable regions are confined to
-        :class:`~repro.dag.nodes.ErrorNode` subtrees.  Returns None (with
-        the document restored) if even the tolerant parse fails.
+        The recovery ladder's isolation rung, callable on its own by a
+        client whose text is authoritative: a batch reparse that confines
+        unparseable regions to :class:`~repro.dag.nodes.ErrorNode`
+        subtrees and keeps every edit (``recovered`` is set).  Returns
+        None, with the document unchanged, if even the tolerant parse
+        fails; an exception from the reparse or the commit also leaves
+        it as it was on entry.
         """
-        txn = self._transaction()
-        try:
+        with obs.span("doc.isolate", version=self.version):
+            txn = self._transaction()
             try:
                 # Batch re-derivation: the previous tree (if any) is
                 # abandoned wholesale, so every token gets a new node.
@@ -473,12 +479,18 @@ class Document:
                 self._removed_nodes = []
                 crash_point("isolate:reparse")
                 result = self._parser.parse_tolerant(self.tokens)
+                self._commit(result)
             except ParseError:
                 txn.rollback(self)
                 return None
-            self._commit(result)
-        finally:
-            txn.close()
+            except BaseException:
+                txn.rollback(self)
+                raise
+            finally:
+                txn.close()
+        obs.incr("doc.recoveries")
+        if validation_enabled():
+            check_document(self)
         return AnalysisReport(
             stats=result.stats,
             ambiguous_regions=self._choice_count(),

@@ -2,6 +2,7 @@
 
 import math
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -130,11 +131,19 @@ class TestSplice:
             assert seq.item_index_of(item) == i
 
 
+# Grammar.sequence_shapes of ``X +`` (aux -> X | aux X) and of
+# ``X ++ ','`` (aux -> X | aux ',' X).
+PLUS = (1, 1)
+SEPARATED = (1, 2)
+
+
 class TestSplitForBreakdown:
     def test_split_around_changed_item(self):
         seq = seq_of(16)
         target = seq.items()[10]
-        pieces = split_for_breakdown(seq, lambda n: _contains(n, target))
+        pieces = split_for_breakdown(
+            seq, lambda n: _contains(n, target), PLUS
+        )
         # First piece: prefix sequence of items 0..9.
         assert pieces[0].is_sequence_node
         assert pieces[0].n_items == 10
@@ -148,17 +157,48 @@ class TestSplitForBreakdown:
     def test_change_in_first_item_has_no_prefix(self):
         seq = seq_of(8)
         target = seq.items()[0]
-        pieces = split_for_breakdown(seq, lambda n: _contains(n, target))
+        pieces = split_for_breakdown(
+            seq, lambda n: _contains(n, target), PLUS
+        )
         assert not pieces[0].is_sequence_node
+
+    @pytest.mark.parametrize("changed", [1, 2, 9, 10, 15])
+    def test_separated_prefix_ends_on_an_element(self, changed):
+        """``[a, ',', b, ',']`` is no instance of ``X ++ ','``: the
+        prefix keeps an odd item count, the trimmed separator follows
+        it raw."""
+        seq = seq_of(17)
+        target = seq.items()[changed]
+        pieces = split_for_breakdown(
+            seq, lambda n: _contains(n, target), SEPARATED
+        )
+        kept = pieces[0].n_items if pieces[0].is_sequence_node else 0
+        assert kept % 2 == 1 and changed - 1 <= kept <= changed
+        rest = []
+        for piece in pieces[1 if kept else 0:]:
+            rest.extend(_leaf_texts(piece))
+        assert rest == [str(i) for i in range(kept, 17)]
+
+    def test_no_shape_reuses_no_prefix(self):
+        seq = seq_of(16)
+        target = seq.items()[10]
+        pieces = split_for_breakdown(
+            seq, lambda n: _contains(n, target), None
+        )
+        assert not pieces[0].is_sequence_node
+        rest = [text for piece in pieces for text in _leaf_texts(piece)]
+        assert rest == [str(i) for i in range(16)]
 
     def test_piece_count_logarithmic(self):
         seq = seq_of(2048)
         target = seq.items()[1024]
-        pieces = split_for_breakdown(seq, lambda n: _contains(n, target))
+        pieces = split_for_breakdown(
+            seq, lambda n: _contains(n, target), PLUS
+        )
         assert len(pieces) <= 2 * 11 + 8
 
     def test_empty_sequence(self):
-        assert split_for_breakdown(seq_of(0), lambda n: True) == []
+        assert split_for_breakdown(seq_of(0), lambda n: True, PLUS) == []
 
 
 def _contains(node, target):

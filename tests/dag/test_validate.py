@@ -11,6 +11,7 @@ from repro.dag.validate import (
     validate_tree,
     validation_enabled,
 )
+from repro.langs import get_language
 from repro.lexing.tokens import Token
 
 LANG = Language.from_dsl(
@@ -118,3 +119,37 @@ class TestEnableSwitch:
         doc = parsed_doc()  # parse under validation: must not raise
         doc.edit(4, 1, "9")
         doc.parse()
+
+
+class TestRegressions:
+    """Edits that once committed a tree breaking the invariants."""
+
+    def test_repair_inside_error_region_refreshes_its_width(self):
+        """Sequence repair splices into a sequence an error node
+        salvaged; the error node's cached width must follow."""
+        text = (
+            "  p3 = (p3 / 77) + (p3 / p3);\n  p3 (x4);\n  T1 * x5;\n"
+            "  T1 * x6;\n  p3 = p3;\n  if (49 - 55) p3 = p3 / 66 * p3 / 28;\n"
+            "  int v8;\n}\n"
+        )
+        doc = Document(get_language("minic"), text, balanced_sequences=True)
+        assert doc.parse().error_regions == 1
+        doc.delete(82, 3)
+        doc.parse()
+        assert validate_document(doc) == []
+
+    def test_items_spliced_under_new_parts_get_in_tree_parents(self):
+        """The commit's re-adoption sweep reaches new items below the
+        sequence parts built this commit, so no terminal keeps a parent
+        from a dead parse branch."""
+        text = (
+            "typedef int T1;\nint fn2(int p3) {\n  return 22;\n"
+            "  p3 = (int *) p3;\n  while (p3) p3 = p3 - 1;\n  p3 (x4);\n"
+            "  T1 * x5;\n  p3 (x6);\n  p3 = (84 * p3 / (p3 - 45));\n}\n"
+        )
+        doc = Document(get_language("fullc"), text, balanced_sequences=True)
+        doc.parse(recover=False)
+        doc.edit(64, 3, ";;")
+        doc.edit(127, 3, "")
+        doc.parse(recover=False)
+        assert validate_document(doc) == []

@@ -4,11 +4,7 @@ import pytest
 
 from repro import Document, Language
 from repro.dag.sequences import SequenceNode
-from repro.parser.sequences import (
-    _recursive_sequence_symbols,
-    attempt_sequence_repair,
-    collapse_sequences,
-)
+from repro.parser.sequences import attempt_sequence_repair, collapse_sequences
 
 LANG = Language.from_dsl(
     """
@@ -32,12 +28,14 @@ def balanced(text, lang=LANG):
 
 class TestRecursiveSymbolDetection:
     def test_star_spine_detected(self):
-        symbols = _recursive_sequence_symbols(LANG.grammar)
-        assert len(symbols) == 1
-        assert all("@seq" in s for s in symbols)
+        shapes = LANG.grammar.sequence_shapes
+        assert len(shapes) == 1
+        assert all("@seq" in s for s in shapes)
+        # item* : aux -> eps | aux item
+        assert list(shapes.values()) == [(0, 1)]
 
     def test_separated_star_wrapper_excluded(self):
-        symbols = _recursive_sequence_symbols(SEP_LANG.grammar)
+        shapes = SEP_LANG.grammar.sequence_shapes
         # The eps|spine wrapper is a sequence production but not
         # self-recursive; only the spine symbol qualifies.
         spine_prods = [
@@ -45,7 +43,10 @@ class TestRecursiveSymbolDetection:
             for p in SEP_LANG.grammar.productions
             if p.is_sequence and p.lhs in p.rhs
         ]
-        assert symbols == {p.lhs for p in spine_prods}
+        assert set(shapes) == {p.lhs for p in spine_prods}
+        # ID ** ',' : spine -> ID | spine ',' ID, so only odd item counts
+        # (an element last) form an instance.
+        assert list(shapes.values()) == [(1, 2)]
 
 
 class TestCollapse:

@@ -12,10 +12,13 @@ After every batch:
 * the service text (``echo_text``) must be **byte-identical** to the
   pure-string application of the accepted edits -- batching, coalescing,
   and the degradation ladder must never change what the client typed;
-* when the oracle document also landed on that text (its
-  history-sensitive recovery can legitimately revert edits; the service
-  then rebuilds from the client text instead), the service must agree
-  with the oracle on token count and error presence.
+* the service must agree with the oracle on token count and error
+  presence.  The two reach the client's text by different routes: the
+  service parses it as typed and isolates a syntax error in place,
+  while the oracle runs the library's default recovery ladder, whose
+  history-sensitive reversion may land on an older text, and then
+  parses the client's text in a fresh document -- so the comparison is
+  an independent check of the service's in-place isolation.
 
 Scripts deliberately pass through syntactically invalid states, so the
 error-recovery paths are exercised, not just the happy path.
@@ -61,8 +64,8 @@ class Oracle:
             self.doc.edit(at, remove, insert)
         self.doc.parse()
         if self.doc.text != target:
-            # History-sensitive recovery reverted an edit; like the
-            # service, fall back to a batch parse of the client text.
+            # History-sensitive recovery reverted an edit; the client's
+            # text is authoritative, so parse it in a fresh document.
             self.doc = Document(self.language, target)
             self.doc.parse()
 

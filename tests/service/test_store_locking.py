@@ -43,7 +43,6 @@ def make_snapshot(name: str, version: int, pad: str = "") -> SessionSnapshot:
         version=version,
         table_key="t" * 64,
         version_opened=True,
-        counts={},
         doc_payload=None,
     )
 

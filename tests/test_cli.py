@@ -1,5 +1,10 @@
 """Tests for the command-line interface and table diagnostics."""
 
+import asyncio
+import json
+import socket
+import threading
+
 import pytest
 
 from repro.cli import main
@@ -206,3 +211,50 @@ class TestDiagnostics:
         table = ParseTable(parse_grammar("%token X /x/\ns : X opt ;\nopt : X? ;"))
         # No crash on epsilon items; summary renders.
         assert "states:" in table_summary(table)
+
+
+class TestServiceStats:
+    def test_prints_each_session_queue_depth(self, capsys):
+        """``stats --service`` shows the queue depth sessions report."""
+        from repro.service import AnalysisService, EditSpec
+
+        async def stats_line() -> bytes:
+            service = AnalysisService()
+            await service.handle(
+                {"op": "open", "id": 1, "doc": "d", "language": "calc",
+                 "text": "a = 1;"}
+            )
+            session = service.manager.get("d")
+            session.pause()
+            queued = [
+                session.submit_edits(i, [EditSpec(4, 1, str(i))])
+                for i in range(3)
+            ]
+            await asyncio.sleep(0)  # the worker takes the first, blocks
+            reply = await service.handle({"op": "stats", "id": 2})
+            session.resume()
+            await asyncio.gather(*queued)
+            await service.aclose()
+            return (json.dumps(reply) + "\n").encode("utf-8")
+
+        line = asyncio.run(stats_line())
+        listener = socket.create_server(("127.0.0.1", 0))
+        listener.settimeout(10)
+        port = listener.getsockname()[1]
+
+        def answer_once() -> None:
+            conn, _ = listener.accept()
+            with conn:
+                conn.recv(1 << 16)
+                conn.sendall(line)
+
+        thread = threading.Thread(target=answer_once, daemon=True)
+        thread.start()
+        try:
+            assert main(["stats", "--service", f"127.0.0.1:{port}"]) == 0
+        finally:
+            thread.join(timeout=10)
+            listener.close()
+        assert not thread.is_alive()
+        out = capsys.readouterr().out
+        assert "queue=2" in out

@@ -24,7 +24,7 @@ COMMIT_POINTS = [
     "commit:collapsed",
     "commit:rooted",
 ]
-RECOVER_POINTS = ["recover:after-revert", "recover:before-commit"]
+RECOVER_POINTS = ["recover:after-revert"]
 REPAIR_POINTS = ["repair:before-splice", "repair:after-splice"]
 
 
