@@ -59,7 +59,7 @@ from .language import Language
 from .langs import get_language, language_names
 from .tables.cache import cache_info, clear_cache
 from .tables.diagnostics import conflict_report, table_summary
-from .versioned.document import Document
+from .versioned.document import AnalysisReport, Document
 
 
 def _load_language(path: str, method: str) -> Language:
@@ -111,13 +111,32 @@ def cmd_parse(args: argparse.Namespace) -> int:
     return 0
 
 
+class _UsageError(Exception):
+    """A command-line argument the command cannot use (exit status 2)."""
+
+
 def _parse_edit(spec: str) -> tuple[int, int, str]:
-    offset, length, *rest = spec.split(":", 2)
-    text = rest[0] if rest else ""
-    return int(offset), int(length), text
+    offset, _, rest = spec.partition(":")
+    length, _, text = rest.partition(":")
+    try:
+        return int(offset), int(length), text
+    except ValueError:
+        raise _UsageError(
+            f"bad edit {spec!r}: expected OFFSET:LENGTH:TEXT"
+        ) from None
 
 
-def cmd_edit(args: argparse.Namespace) -> int:
+def _edit_session(
+    args: argparse.Namespace, on_parse=None
+) -> tuple[Document, AnalysisReport]:
+    """Parse ``args.file``, then apply each of ``args.edits`` and reparse.
+
+    Returns the document and its last parse report.  ``on_parse(spec,
+    report)`` sees every parse, the first one with ``spec`` None.  Every
+    spec is checked before anything is parsed; an edit that falls
+    outside the text is reported when it comes up.
+    """
+    edits = [(spec, _parse_edit(spec)) for spec in args.edits]
     language = _load_language(args.grammar, args.method)
     document = Document(
         language,
@@ -125,23 +144,36 @@ def cmd_edit(args: argparse.Namespace) -> int:
         balanced_sequences=args.balanced,
     )
     report = document.parse()
-    print(
-        f"initial parse: {report.stats.shifts + report.stats.reductions} work"
-    )
-    for spec in args.edits:
-        offset, length, text = _parse_edit(spec)
-        document.edit(offset, length, text)
+    if on_parse is not None:
+        on_parse(None, report)
+    for spec, (offset, length, text) in edits:
+        try:
+            document.edit(offset, length, text)
+        except ValueError as error:
+            raise _UsageError(
+                f"edit {spec!r}: {error} "
+                f"(the text is {len(document.text)} characters)"
+            ) from None
         report = document.parse()
-        work = (
-            report.stats.shifts
-            + report.stats.reductions
-            + report.stats.breakdowns
-        )
+        if on_parse is not None:
+            on_parse(spec, report)
+    return document, report
+
+
+def cmd_edit(args: argparse.Namespace) -> int:
+    def show(spec: str | None, report: AnalysisReport) -> None:
+        stats = report.stats
+        if spec is None:
+            print(f"initial parse: {stats.shifts + stats.reductions} work")
+            return
+        work = stats.shifts + stats.reductions + stats.breakdowns
         status = "" if report.fully_incorporated else "  [edits deferred]"
         print(
             f"edit {spec!r}: work={work} "
-            f"reused={report.stats.subtree_shifts}{status}"
+            f"reused={stats.subtree_shifts}{status}"
         )
+
+    document, _ = _edit_session(args, show)
     if args.tree:
         print(dump_tree(document.body, max_depth=args.max_depth))
     print(f"final text: {document.text!r}")
@@ -149,17 +181,7 @@ def cmd_edit(args: argparse.Namespace) -> int:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    language = _load_language(args.grammar, args.method)
-    document = Document(
-        language,
-        _read(args.file),
-        balanced_sequences=args.balanced,
-    )
-    report = document.parse()
-    for spec in args.edits:
-        offset, length, text = _parse_edit(spec)
-        document.edit(offset, length, text)
-        report = document.parse()
+    document, report = _edit_session(args)
     problems = validate_document(document)
     if problems:
         print(f"INVALID: {len(problems)} invariant violation(s)")
@@ -222,18 +244,7 @@ def _run_observed_session(args: argparse.Namespace) -> Document:
     """
     if not obs.enabled():
         obs.configure(enabled=True)
-    language = _load_language(args.grammar, args.method)
-    document = Document(
-        language,
-        _read(args.file),
-        balanced_sequences=args.balanced,
-    )
-    document.parse()
-    for spec in args.edits:
-        offset, length, text = _parse_edit(spec)
-        document.edit(offset, length, text)
-        document.parse()
-    return document
+    return _edit_session(args)[0]
 
 
 def _print_counter_groups(counters: dict, indent: str = "  ") -> None:
@@ -661,7 +672,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.profile:
             return _run_profiled(args)
         return args.func(args)
-    except FileNotFoundError as error:
+    except (FileNotFoundError, _UsageError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
 

@@ -41,12 +41,12 @@ older than the attempt, and they *are* observed again: a rollback must
 return their ``parent`` to ``None``, the document's only marker of a
 terminal not yet committed, so no write to ``parent`` may skip ``touch``.
 
-Journals nest.  The recovery ladder runs trial parses inside an
-enclosing transaction; every active journal records the first touch it
-has not yet seen, so rolling back an inner trial leaves the outer
-journal able to roll the document all the way back to the pre-parse
-state.  With no journal active, :func:`touch` is a call plus an
-iteration over an empty tuple.
+Journals nest.  The recovery ladder runs its reversion trials inside an
+enclosing scope; every active journal records the first touch it has
+not yet seen, so rolling back an inner trial leaves the outer journal
+able to roll the document all the way back to the pre-parse state.
+With no journal active, :func:`touch` is a call plus an iteration over
+an empty tuple.
 """
 
 from __future__ import annotations
@@ -111,8 +111,7 @@ class MutationJournal:
         """Write every recorded old value back, most recent first.
 
         The journal is reset afterwards: a still-active journal resumes
-        recording from the restored state, so an enclosing transaction
-        can roll back again later (the recovery ladder relies on this).
+        recording from the restored state.
         """
         for (
             node, state, parent, n_terms, n_nodes, n_choices, structure

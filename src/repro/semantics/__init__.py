@@ -15,12 +15,11 @@ from .filters import (
     resolved_view,
     semantic_select,
 )
-from .symtab import Binding, BindingTable, Namespace, Scope
+from .symtab import Binding, Namespace, Scope
 
 __all__ = [
     "AttributeEvaluator",
     "Binding",
-    "BindingTable",
     "standard_evaluator",
     "Decision",
     "Namespace",

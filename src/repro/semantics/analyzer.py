@@ -50,7 +50,7 @@ from ..langs.minic import (
 )
 from ..versioned.document import Document
 from .filters import reset_choice, semantic_select
-from .symtab import Binding, BindingTable, Namespace, Scope
+from .symtab import Binding, Namespace, Scope
 
 _SCOPE_LHS = ("block", "func_def")
 
@@ -66,7 +66,6 @@ class Decision:
     choice: SymbolNode
     name: str
     resolved_as: str | None  # "decl" | "stmt" | None (unresolved)
-    scope: Scope
 
 
 @dataclass
@@ -86,7 +85,6 @@ class TypedefAnalyzer:
 
     def __init__(self, document: Document) -> None:
         self.document = document
-        self.table = BindingTable()
         # name -> {id(choice): latest Decision} so re-decisions replace
         # earlier ones instead of accumulating.
         self._decisions_by_name: dict[str, dict[int, Decision]] = {}
@@ -114,14 +112,17 @@ class TypedefAnalyzer:
             raise ValueError("document has not been parsed")
         with obs.span("sem.analyze", version=self.document.version):
             obs.incr("sem.full_passes")
-            self.table = BindingTable()
             self._decisions_by_name = {}
             self._sites = {}
             self._begin_pass()
             report = SemanticReport()
             globals_ = Scope()
             self._walk(self.document.body, globals_, report)
-            report.typedef_names = self.table.typedef_names()
+            report.typedef_names = {
+                name
+                for name, sites in self._sites.items()
+                if any(ns is Namespace.TYPE for _, ns in sites.values())
+            }
             self._typedef_view = set(report.typedef_names)
             self._analyzed_version = self.document.version
         return report
@@ -180,7 +181,6 @@ class TypedefAnalyzer:
             return
         binding = Binding(name.text, Namespace.TYPE, "typedef", node)
         scope.bind(binding)
-        self.table.record_binding(binding)
         self._register_site(name.text, Namespace.TYPE, node)
 
     def _bind_decl(
@@ -194,7 +194,6 @@ class TypedefAnalyzer:
         for name in names:
             binding = Binding(name.text, Namespace.ORDINARY, "var", node)
             scope.bind(binding)
-            self.table.record_binding(binding)
             self._register_site(name.text, Namespace.ORDINARY, node)
         self._walk(node.kids[0], scope, report)  # validate the type_spec
 
@@ -206,7 +205,6 @@ class TypedefAnalyzer:
         assert isinstance(name, TerminalNode)
         scope_binding = Binding(name.text, Namespace.ORDINARY, "func", node)
         scope.bind(scope_binding)
-        self.table.record_binding(scope_binding)
         self._register_site(name.text, Namespace.ORDINARY, node)
         self._walk(node.kids[0], scope, report)
         inner = Scope(scope)
@@ -246,7 +244,6 @@ class TypedefAnalyzer:
             report.errors.append("ambiguous item without an identifier")
             return
         name = name_term.text
-        self.table.record_use(name, choice)
         # The declaration interpretation is a binding site even while
         # rejected — a later re-decision may select it, which is exactly
         # what the incremental resolver's visibility check captures.
@@ -293,16 +290,16 @@ class TypedefAnalyzer:
                 semantic_select(
                     choice, is_decl_alternative, f"{name} is an imported type"
                 )
-                return Decision(choice, name, "decl", scope)
+                return Decision(choice, name, "decl")
             reset_choice(choice)
-            return Decision(choice, name, None, scope)
+            return Decision(choice, name, None)
         if binding.namespace is Namespace.TYPE:
             semantic_select(choice, is_decl_alternative, f"{name} is a type")
-            return Decision(choice, name, "decl", scope)
+            return Decision(choice, name, "decl")
         semantic_select(
             choice, is_stmt_alternative, f"{name} is an ordinary identifier"
         )
-        return Decision(choice, name, "stmt", scope)
+        return Decision(choice, name, "stmt")
 
     def _walk_selected(
         self, selected: Node, scope: Scope, report: SemanticReport
@@ -424,20 +421,20 @@ class TypedefAnalyzer:
         namespace = self._effective_namespace(choice, name)
         if namespace is Namespace.TYPE:
             semantic_select(choice, is_decl_alternative, f"{name} is a type")
-            new = Decision(choice, name, "decl", decision.scope)
+            new = Decision(choice, name, "decl")
         elif namespace is Namespace.ORDINARY:
             semantic_select(
                 choice, is_stmt_alternative, f"{name} is an ordinary identifier"
             )
-            new = Decision(choice, name, "stmt", decision.scope)
+            new = Decision(choice, name, "stmt")
         elif name in self.external_typedefs:
             semantic_select(
                 choice, is_decl_alternative, f"{name} is an imported type"
             )
-            new = Decision(choice, name, "decl", decision.scope)
+            new = Decision(choice, name, "decl")
         else:
             reset_choice(choice)
-            new = Decision(choice, name, None, decision.scope)
+            new = Decision(choice, name, None)
         self._decisions_by_name.setdefault(name, {})[id(choice)] = new
         flipped: set[str] = set()
         new_selected = choice.selected()

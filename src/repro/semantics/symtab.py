@@ -9,7 +9,7 @@ here? -- are then simple scope lookups.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator
 
@@ -74,33 +74,3 @@ class Scope:
             depth += 1
             scope = scope.parent
         return depth
-
-
-@dataclass
-class BindingTable:
-    """All bindings produced by an analysis pass, indexed by name.
-
-    ``use_sites`` maps names to the choice points whose resolution
-    depended on that name's namespace; when a later edit changes the
-    binding (e.g. a typedef is removed), exactly those sites need
-    re-disambiguation (paper section 4.2: "binding information stored in
-    semantic attributes allows the former uses of the declaration to be
-    efficiently located").
-    """
-
-    bindings: list[Binding] = field(default_factory=list)
-    use_sites: dict[str, list[object]] = field(default_factory=dict)
-
-    def record_binding(self, binding: Binding) -> None:
-        self.bindings.append(binding)
-
-    def record_use(self, name: str, site: object) -> None:
-        self.use_sites.setdefault(name, []).append(site)
-
-    def typedef_names(self) -> set[str]:
-        return {
-            b.name for b in self.bindings if b.namespace is Namespace.TYPE
-        }
-
-    def sites_for(self, name: str) -> list[object]:
-        return self.use_sites.get(name, [])

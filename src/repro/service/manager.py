@@ -7,10 +7,11 @@ Two independent caps keep a long-lived server's memory bounded:
   in-flight work); if every session is busy the open is refused with a
   ``capacity`` error instead of blocking.
 * ``max_resident_nodes`` -- total committed-DAG nodes across all
-  sessions (each session's count is memoized per document version, so
-  the accounting is O(changed trees), not O(pool)).  Checked after
-  every flush; excess evicts idle LRU sessions until the pool fits or
-  nothing more is evictable.
+  sessions.  Checked after every flush by summing every session's
+  count, each read at its tree's root (the commit's census refilled
+  only the nodes it changed), so the check costs one root read per
+  resident session.  Excess evicts idle LRU sessions until the pool
+  fits or nothing more is evictable.
 
 Eviction is *stateless recovery* by design: an evicted session simply
 disappears, and a client that still references it gets ``no-session``

@@ -89,12 +89,12 @@ register_points(**{
 })
 
 # Bytes identifying a snapshot file; changing the layout bumps FORMAT.
-# Format 5: SessionSnapshot has no counts field, and a checkpoint's
-# journal tail is at most the one splice from the committed text to the
-# session's text (format 4 carried the session's per-request edit
-# specs).
+# Format 6: SessionSnapshot has no base_text field; the committed text
+# is the document payload's own ``text`` (format 5 carried both).  A
+# checkpoint's journal tail is at most the one splice from the committed
+# text to the session's text.
 MAGIC = b"REPROSNAP"
-FORMAT = 5
+FORMAT = 6
 
 # MAGIC + format (u32) + checkpoint length (u64) + sha256 of the checkpoint.
 _HEADER = struct.Struct(f"<{len(MAGIC)}sIQ32s")
@@ -174,8 +174,8 @@ class SessionSnapshot:
     grammar: str | None  # inline grammar-DSL source, or None for built-in
     balanced: bool
     text: str  # authoritative (client-equal) text
-    base_text: str  # committed text the doc payload corresponds to
-    journal_tail: list[tuple[int, int, str]]  # base_text -> text
+    # Splices from the payload's committed text ("" without one) to text.
+    journal_tail: list[tuple[int, int, str]]
     version: int
     table_key: str  # parse-table cache fingerprint (warm-start identity)
     version_opened: bool

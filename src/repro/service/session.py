@@ -126,16 +126,15 @@ def _parse_as_typed(doc: Document) -> AnalysisReport:
 
     Incremental when the text parses, panic-mode isolation of the same
     document when it does not -- never the library ladder's reversion,
-    because the client's buffer owns the text.  Raises the
-    :class:`ParseError` only when even isolation fails.
+    because the client's buffer owns the text.  Isolation always
+    commits, so a syntax error never escapes; what can escape (an
+    injected fault, a failed ``REPRO_VALIDATE`` check) leaves ``doc``
+    as it was on entry, for the degradation ladder's next rung.
     """
     try:
         return doc.parse(recover=False)
     except ParseError:
-        report = doc.isolate()
-        if report is None:
-            raise
-        return report
+        return doc.isolate()
 
 
 def _resolve(work: _Work, reply: dict) -> None:
@@ -768,13 +767,11 @@ class Session:
         doc_payload = None
         if self.doc is not None:
             doc_payload = self.doc.snapshot_state()  # None when dirty
+        tail = []
         if doc_payload is None:
-            base_text, tail = "", [(0, 0, self.shadow_text)]
-        else:
-            base_text = self.doc.text
-            tail = []
-            if base_text != self.shadow_text:
-                tail = [_splice(base_text, self.shadow_text)]
+            tail = [(0, 0, self.shadow_text)]
+        elif self.doc.text != self.shadow_text:
+            tail = [_splice(self.doc.text, self.shadow_text)]
         label = self.language_label
         inline = label == "<inline>"
         return SessionSnapshot(
@@ -787,7 +784,6 @@ class Session:
             grammar=self.grammar_source,
             balanced=self.balanced,
             text=self.shadow_text,
-            base_text=base_text,
             journal_tail=tail,
             version=self.doc.version if self.doc is not None else 0,
             table_key=grammar_fingerprint(

@@ -1,5 +1,5 @@
 """Self-versioning documents: text, tokens, and parse DAG kept in sync."""
 
-from .document import AnalysisReport, Document, DocumentError, Edit
+from .document import AnalysisReport, Document, Edit
 
-__all__ = ["AnalysisReport", "Document", "DocumentError", "Edit"]
+__all__ = ["AnalysisReport", "Document", "Edit"]

@@ -18,7 +18,8 @@ last commit is a new node with no parent yet.
 * :meth:`isolate` runs that isolation on its own, for a client whose
   text is authoritative and must never see its edits reverted.
 
-Every parse is transactional: a first-touch mutation journal (see
+Every version change -- a parse, a recovery trial, an isolation -- is
+transactional: a first-touch mutation journal (see
 `repro.versioned.transactions`) records old values as the pipeline
 writes them and is replayed in reverse if *anything* goes wrong, so no
 exception -- syntax error, invariant violation, injected fault -- can
@@ -33,6 +34,7 @@ list of removed committed terminals, and are turned into a
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 from .. import obs
 from ..dag.journal import touch
@@ -91,10 +93,6 @@ class AnalysisReport:
     @property
     def fully_incorporated(self) -> bool:
         return not self.reverted_edits
-
-
-class DocumentError(Exception):
-    """Raised when a document cannot reach any valid parse."""
 
 
 class Document:
@@ -195,48 +193,54 @@ class Document:
 
         With ``recover=True`` (default), a syntax error runs the recovery
         ladder: history-sensitive reversion of the most recent edits when
-        a clean previous version exists, panic-mode error isolation
-        otherwise (fresh documents, or documents whose committed tree
-        already contains error regions), with isolation as the last
-        resort when reversion cannot converge.  Reverted edits are
-        reported as unincorporated; isolated errors are reported via
-        ``error_regions``/``recovered``.  With ``recover=False`` the
-        :class:`~repro.parser.iglr.ParseError` propagates and the
-        document keeps its previous version.
+        a clean previous version and pending edits exist, panic-mode
+        error isolation otherwise (fresh documents, documents whose
+        committed tree already contains error regions, nothing to
+        revert), with isolation as the last resort when reversion cannot
+        converge.  Reverted
+        edits are reported as unincorporated; isolated errors are
+        reported via ``error_regions``/``recovered``.  With
+        ``recover=False`` the :class:`~repro.parser.iglr.ParseError`
+        propagates and the document keeps its previous version.
 
-        *Any* exception escaping this method -- including
-        ``recover=False`` syntax errors and faults injected into the
-        commit pipeline -- leaves the document exactly as it was on
-        entry.
+        *Any* exception escaping this method -- ``recover=False`` syntax
+        errors, faults injected into the commit pipeline, and under
+        ``REPRO_VALIDATE`` an invariant violation of the new version --
+        leaves the document exactly as it was on entry.
         """
         with obs.span("doc.parse", version=self.version):
             obs.incr("doc.parses")
-            return self._parse_transactional(recover)
+            try:
+                return self._atomic(self._parse_attempt)
+            except ParseError:
+                if not recover:
+                    raise
+                return self._recover_ladder()
 
     def _transaction(self) -> JournalTransaction:
         """Open a rollback scope over the document's current state."""
         return JournalTransaction(self)
 
-    def _parse_transactional(self, recover: bool) -> AnalysisReport:
+    def _atomic(
+        self, attempt: Callable[[], AnalysisReport]
+    ) -> AnalysisReport:
+        """Run ``attempt`` as one unit: it commits and checks, or never ran.
+
+        Every version change goes through here.  Under ``REPRO_VALIDATE``
+        the invariants are checked before the scope closes, so a failed
+        check rolls back like any other exception.
+        """
         txn = self._transaction()
         try:
-            try:
-                report = self._parse_attempt()
-            except ParseError:
-                if not recover:
-                    raise
-                txn.rollback(self)
-                report = self._recover_ladder(txn)
-                if report is None:
-                    raise
+            report = attempt()
+            if validation_enabled():
+                check_document(self)
+            return report
         except BaseException:
             txn.rollback(self)
             raise
         finally:
             txn.close()
-        if validation_enabled():
-            check_document(self)
-        return report
 
     def _parse_attempt(self) -> AnalysisReport:
         """One straight-line parse + commit, no recovery."""
@@ -257,11 +261,7 @@ class Document:
             )
         result = self._parser.parse(stream)
         self._commit(result)
-        return AnalysisReport(
-            stats=result.stats,
-            ambiguous_regions=self._choice_count(),
-            error_regions=self._error_count,
-        )
+        return self._report(result.stats)
 
     def fresh_runs(self) -> list[tuple[list[TerminalNode], TerminalNode | None]]:
         """Maximal runs of uncommitted stream nodes, left to right.
@@ -300,18 +300,10 @@ class Document:
         outcome = attempt_sequence_repair(self)
         if outcome is None:
             return None
-        self.last_removed_terminals = self._removed_nodes
-        self._removed_nodes = []
-        self._edit_log = []
-        self.version += 1
-        self.last_result = ParseResult(
-            self.tree.kids[1], outcome.stats, outcome.new_nodes
+        self._close_version(
+            ParseResult(self.tree.kids[1], outcome.stats, outcome.new_nodes)
         )
-        return AnalysisReport(
-            stats=outcome.stats,
-            ambiguous_regions=self._choice_count(),
-            error_regions=self._error_count,
-        )
+        return self._report(outcome.stats)
 
     def _commit(self, result: ParseResult) -> None:
         with obs.span("doc.commit"):
@@ -380,52 +372,71 @@ class Document:
                     seen.add(id(kid))
                     stack.append(kid)
         crash_point("commit:rooted")
-        self.last_removed_terminals = self._removed_nodes
-        self._removed_nodes = []
-        self._edit_log = []
         if self._error_count or any(n.is_error_node for n in result.new_nodes):
             self._error_count = len(error_regions(self.tree))
         else:
             self._error_count = 0
+        self._close_version(result)
+
+    def _close_version(self, result: ParseResult) -> None:
+        """The bookkeeping every commit ends with: the edits are in."""
+        self.last_removed_terminals = self._removed_nodes
+        self._removed_nodes = []
+        self._edit_log = []
         self.version += 1
         self.last_result = result
 
+    def _report(
+        self, stats: ParseStats, recovered: bool = False
+    ) -> AnalysisReport:
+        return AnalysisReport(
+            stats=stats,
+            ambiguous_regions=self._choice_count(),
+            error_regions=self._error_count,
+            recovered=recovered,
+        )
+
     # -- error recovery -----------------------------------------------------------
 
-    def _recover_ladder(self, txn: JournalTransaction):
+    def _recover_ladder(self) -> AnalysisReport:
         """Run the recovery ladder after a failed parse attempt.
 
-        The document has already been rolled back to its pre-parse state
-        when this runs; ``txn`` is the enclosing parse transaction, still
-        open, used to re-reach that state when reversion exhausts the
-        history.  Returns the report of the step that succeeded, or None
-        when no step applies -- the caller then re-raises the original
-        :class:`ParseError`.
+        The failed attempt has already rolled back, so the document is
+        in its pre-parse state.  Ladder, in order (paper 4.3 plus
+        isolation):
 
-        Ladder, in order (paper 4.3 plus isolation):
-
-        1. *Isolation first* when there is no clean committed version to
-           fall back on: fresh documents, and documents whose tree
-           already contains error regions (reverting edits cannot reach
-           a parseable text).
-        2. *History-sensitive reversion*: undo the most recent edits one
-           at a time until some prefix of the modification history
-           parses; reverted edits are reported as unincorporated.
-        3. *Isolation as last resort* when reversion exhausts the edit
-           log without converging: re-apply the full edit history and
-           commit an error-isolated tree instead of losing the user's
-           modifications.
+        1. *History-sensitive reversion* when the committed tree is clean
+           and edits are pending: undo the most recent edits one at a
+           time until some prefix of the modification history parses;
+           reverted edits are reported as unincorporated.
+        2. *Isolation* otherwise -- fresh documents, documents whose tree
+           already contains error regions (reverting edits cannot reach a
+           parseable text), a reparse with nothing to revert -- and as the
+           last resort when reversion exhausts the history: the full edit
+           history stays applied and the errors are isolated instead of
+           losing the user's modifications.
         """
-        if self.tree is None or self._error_count:
-            report = self.isolate()
-            if report is not None:
+        if self.tree is not None and not self._error_count and self._edit_log:
+            try:
+                report = self._atomic(self._revert_until_parse)
+            except ParseError:
+                pass  # history exhausted; the rollback re-applied every edit
+            else:
+                obs.incr("doc.recoveries")
                 return report
-            if self.tree is None:
-                return None  # fresh document, nothing else to try
-        if not self._edit_log:
-            return None
+        return self.isolate()
+
+    def _revert_until_parse(self) -> AnalysisReport:
+        """Undo pending edits, newest first, until a trial parses.
+
+        The trial is the commit: a reverted prefix that parses is
+        incorporated by that very attempt.  Each trial rolls back on its
+        own, so a failed one leaks no scratch state (fresh terminal
+        nodes, clobbered parse states) into the next.  Raises the last
+        trial's :class:`ParseError` when the history runs out.
+        """
         reverted: list[Edit] = []
-        while self._edit_log:
+        while True:
             edit = self._edit_log.pop()
             inverse = edit.inverse()
             self._apply_edit(
@@ -433,70 +444,45 @@ class Document:
             )
             reverted.append(edit)
             crash_point("recover:after-revert")
-            # The trial is the commit: a reverted prefix that parses is
-            # incorporated by this very attempt.
-            attempt = self._transaction()
             try:
-                report = self._parse_attempt()
+                report = self._atomic(self._parse_attempt)
             except ParseError:
-                # A failed trial must not leak scratch state (fresh
-                # terminal nodes, clobbered parse states) into the next
-                # one: roll back to the post-revert state.
-                attempt.rollback(self)
+                if not self._edit_log:
+                    raise
                 continue
-            finally:
-                attempt.close()
-            obs.incr("doc.recoveries")
             report.reverted_edits = reverted
             return report
-        # Reversion exhausted the history without converging.  Re-apply
-        # the edits (by rolling back to the pre-parse state) and isolate
-        # the errors instead.
-        txn.rollback(self)
-        return self.isolate()
 
-    def isolate(self) -> AnalysisReport | None:
+    def isolate(self) -> AnalysisReport:
         """Commit the current text with its errors isolated (paper 4.3).
 
         The recovery ladder's isolation rung, callable on its own by a
         client whose text is authoritative: a batch reparse that confines
         unparseable regions to :class:`~repro.dag.nodes.ErrorNode`
-        subtrees and keeps every edit (``recovered`` is set).  Returns
-        None, with the document unchanged, if even the tolerant parse
-        fails; an exception from the reparse or the commit also leaves
-        it as it was on entry.
+        subtrees and keeps every edit (``recovered`` is set).  The
+        tolerant parse never raises a syntax error, so this always
+        commits; any exception -- an injected fault, or under
+        ``REPRO_VALIDATE`` an invariant violation -- leaves the document
+        as it was on entry.
         """
         with obs.span("doc.isolate", version=self.version):
-            txn = self._transaction()
-            try:
-                # Batch re-derivation: the previous tree (if any) is
-                # abandoned wholesale, so every token gets a new node.
-                if self.tree is None:
-                    tokens = self.language.lexer.lex(self.text)
-                else:
-                    tokens = [node.token for node in self.tokens]
-                self.tokens = [TerminalNode(tok) for tok in tokens]
-                self._removed_nodes = []
-                crash_point("isolate:reparse")
-                result = self._parser.parse_tolerant(self.tokens)
-                self._commit(result)
-            except ParseError:
-                txn.rollback(self)
-                return None
-            except BaseException:
-                txn.rollback(self)
-                raise
-            finally:
-                txn.close()
+            report = self._atomic(self._isolate_attempt)
         obs.incr("doc.recoveries")
-        if validation_enabled():
-            check_document(self)
-        return AnalysisReport(
-            stats=result.stats,
-            ambiguous_regions=self._choice_count(),
-            error_regions=self._error_count,
-            recovered=True,
-        )
+        return report
+
+    def _isolate_attempt(self) -> AnalysisReport:
+        # Batch re-derivation: the previous tree (if any) is abandoned
+        # wholesale, so every token gets a new node.
+        if self.tree is None:
+            tokens = self.language.lexer.lex(self.text)
+        else:
+            tokens = [node.token for node in self.tokens]
+        self.tokens = [TerminalNode(tok) for tok in tokens]
+        self._removed_nodes = []
+        crash_point("isolate:reparse")
+        result = self._parser.parse_tolerant(self.tokens)
+        self._commit(result)
+        return self._report(result.stats, recovered=True)
 
     # -- queries --------------------------------------------------------------------
 

@@ -1,4 +1,4 @@
-"""Transactional parses: rollback to the last good document version.
+"""Transactional version changes: rollback to the last good version.
 
 Incremental reparsing mutates the previous version's tree *in place*:
 subtree shifts overwrite recorded parse states, the node-retention pool
@@ -37,9 +37,12 @@ from ..dag.journal import MutationJournal, activate, deactivate
 class _DocumentState:
     """The document's own (non-node) mutable state, captured shallowly.
 
-    The token stream is held by reference (writers rebind it, never
-    mutate it); the short per-edit lists are copied.  Nodes are *not*
-    walked here -- node-level capture is the journal's job.
+    Everything a commit writes is here, because a rollback may follow a
+    completed commit (a failed ``REPRO_VALIDATE`` check).  The token
+    stream and the last commit's removed terminals are held by reference
+    (writers rebind them, never mutate them); the short per-edit lists,
+    which edits extend in place, are copied.  Nodes are *not* walked
+    here -- node-level capture is the journal's job.
     """
 
     __slots__ = (
@@ -49,6 +52,8 @@ class _DocumentState:
         "removed_nodes",
         "edit_log",
         "last_result",
+        "last_removed_terminals",
+        "error_count",
         "tree",
     )
 
@@ -60,6 +65,8 @@ class _DocumentState:
         self.removed_nodes = list(doc._removed_nodes)
         self.edit_log = list(doc._edit_log)
         self.last_result = doc.last_result
+        self.last_removed_terminals = doc.last_removed_terminals
+        self.error_count: int = doc._error_count
         self.tree = doc.tree
 
     def restore(self, document) -> None:
@@ -70,18 +77,19 @@ class _DocumentState:
         doc._removed_nodes = list(self.removed_nodes)
         doc._edit_log = list(self.edit_log)
         doc.last_result = self.last_result
+        doc.last_removed_terminals = self.last_removed_terminals
+        doc._error_count = self.error_count
         doc.tree = self.tree
 
 
 class JournalTransaction:
-    """One parse attempt's rollback scope: capture on write, replay in
+    """One version change's rollback scope: capture on write, replay in
     reverse on failure.
 
     ``rollback`` restores the document to the state at construction and
-    may be called repeatedly (the recovery ladder rolls back, mutates
-    further, and rolls back again).  ``close`` releases the scope and
-    must run exactly once, on every exit path -- callers use
-    ``try/finally``.
+    may be called repeatedly.  ``close`` releases the scope and must run
+    exactly once, on every exit path; ``Document._atomic`` is the one
+    place that opens, rolls back and closes a scope.
     """
 
     __slots__ = ("_state", "_journal", "_open")
@@ -99,8 +107,7 @@ class JournalTransaction:
     def rollback(self, document) -> None:
         # Replay first: node restores must see the failed attempt's
         # writes undone before the scalar state points back at the old
-        # tree.  The journal stays active (reset) so a later rollback of
-        # the same transaction covers mutations made after this one.
+        # tree.
         self._journal.replay()
         self._state.restore(document)
 

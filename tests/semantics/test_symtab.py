@@ -1,6 +1,6 @@
-"""Unit tests for scopes and binding tables."""
+"""Unit tests for scopes and their binding contours."""
 
-from repro.semantics import Binding, BindingTable, Namespace, Scope
+from repro.semantics import Binding, Namespace, Scope
 
 
 def bind(scope, name, namespace=Namespace.ORDINARY, kind="var"):
@@ -59,24 +59,3 @@ class TestScope:
         bind(scope, "x")
         bind(scope, "y")
         assert {b.name for b in scope.bindings()} == {"x", "y"}
-
-
-class TestBindingTable:
-    def test_typedef_names(self):
-        table = BindingTable()
-        table.record_binding(Binding("T", Namespace.TYPE, "typedef"))
-        table.record_binding(Binding("v", Namespace.ORDINARY, "var"))
-        assert table.typedef_names() == {"T"}
-
-    def test_use_sites(self):
-        table = BindingTable()
-        site = object()
-        table.record_use("T", site)
-        assert table.sites_for("T") == [site]
-        assert table.sites_for("unknown") == []
-
-    def test_multiple_sites_per_name(self):
-        table = BindingTable()
-        table.record_use("T", 1)
-        table.record_use("T", 2)
-        assert table.sites_for("T") == [1, 2]

@@ -154,7 +154,7 @@ class TestDurableForm:
                     break
             assert session._parked and session.shadow_text == target
             snap = session.make_snapshot()
-            assert snap.base_text == text
+            assert snap.doc_payload["text"] == text
             assert snap.journal_tail == [(4, 15, "7; b = 2; c = 9")]
             store.save(snap)
             session.shut_down()

@@ -319,9 +319,10 @@ class TestRehydration:
                     break
             assert session._parked
             snap = session.make_snapshot()
-            assert snap.base_text == "a = 1;" and snap.text == "a = 7;"
-            assert snap.journal_tail == [(4, 1, "7")]
             assert snap.doc_payload is not None
+            assert snap.doc_payload["text"] == "a = 1;"
+            assert snap.text == "a = 7;"
+            assert snap.journal_tail == [(4, 1, "7")]
             store.save(snap)
             session.shut_down()
             reply = await deferred
@@ -715,7 +716,7 @@ class TestWriteAheadLog:
         snap = store.load("d")
         assert snap.text == texts[-1] == "a = 7; b = 8;"
         assert snap.log_records == 2
-        assert snap.base_text == "a = 1; b = 2;"
+        assert snap.doc_payload["text"] == "a = 1; b = 2;"
         assert snap.journal_tail == [(4, 1, "7"), (11, 1, "8")]
         (entry,) = store.entries()
         assert entry["log_records"] == 2 and entry["warm"]

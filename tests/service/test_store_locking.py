@@ -38,7 +38,6 @@ def make_snapshot(name: str, version: int, pad: str = "") -> SessionSnapshot:
         grammar=None,
         balanced=True,
         text=text,
-        base_text=text,
         journal_tail=[],
         version=version,
         table_key="t" * 64,
@@ -66,7 +65,7 @@ def snap(version):
     text = "x = %d;" % version + "#" * (version % 97)
     return SessionSnapshot(
         name="shared", language="calc", grammar=None, balanced=True,
-        text=text, base_text=text, journal_tail=[],
+        text=text, journal_tail=[],
         version=version, table_key="t" * 64, version_opened=True,
     )
 

@@ -96,6 +96,29 @@ class TestCli:
         assert main(["edit", grammar, source, "0:1:((("]) == 0
         assert "[edits deferred]" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "command, specs, message",
+        [
+            ("edit", ["abc"], "bad edit 'abc'"),
+            ("edit", ["x:1:y"], "bad edit 'x:1:y'"),
+            ("validate", ["4:1:7", "5"], "bad edit '5'"),
+            ("validate", ["99:1:x"], "outside document"),
+            ("edit", ["0:21:", "1:0:x"], "outside document"),
+        ],
+        ids=["no-colon", "bad-offset", "no-length", "past-end",
+             "past-end-after-edit"],
+    )
+    def test_bad_edit_is_a_usage_error(
+        self, calc_files, capsys, command, specs, message
+    ):
+        grammar, source = calc_files  # the source has 21 characters
+        assert main([command, grammar, source, *specs]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and message in captured.err
+        assert "Traceback" not in captured.err
+        if specs[-1] == "5":
+            assert captured.out == ""  # specs are checked before parsing
+
     def test_missing_file(self, calc_files, capsys):
         grammar, _ = calc_files
         assert main(["parse", grammar, "/nonexistent"]) == 2
