@@ -122,6 +122,7 @@ async def _scenario(
         state = reply["sem_state"]
         expected_unresolved = 0 if present else 1
         assert state["unresolved"] == expected_unresolved, (doc, state)
+    await service.aclose()
 
     return {
         "scenario": name,

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from typing import Callable, Sequence
 
-from ..dag.nodes import ErrorNode, Node, TerminalNode
+from ..dag.nodes import NO_STATE, ErrorNode, Node, TerminalNode
 from ..lexing.tokens import EOS, Token
 from .iglr import ParseError, ParseResult, ParseStats
 
@@ -149,6 +149,11 @@ def parse_tolerant(
     if len(parts) == 1:
         root = parts[0]
     else:
+        # Each salvaged part is a whole start-symbol sentence parsed from
+        # the start state, a state it holds in no context but its own:
+        # like the error region around it, it must never be reused whole.
+        for part in parts:
+            part.state = NO_STATE
         root = ErrorNode(tuple(parts))
         root.adopt_kids()
         new_nodes.append(root)

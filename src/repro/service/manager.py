@@ -32,7 +32,11 @@ one log record to the session's snapshot file, and a full checkpoint
 checkpoint on disk yet, on the forced paths (``snapshot`` op, grammar
 reload, forced eviction, shutdown), on idle eviction of a session with
 a non-empty log, when the log is full (:data:`LOG_LIMIT`), or when the
-store refuses the append.
+store refuses the append.  A full log is checkpointed off the reply
+path: the transport calls :meth:`SessionManager.compact_idle` (through
+``AnalysisService.on_idle``) once a connection owes no reply, and only
+a flush that still finds the log full -- traffic that never leaves the
+connection idle -- checkpoints before its replies resolve.
 """
 
 from __future__ import annotations
@@ -51,6 +55,7 @@ register_points(**{
     "persist:evict": "idle session about to be snapshotted for eviction",
     "persist:evict-forced": "quiesced session snapshot-and-forced out",
     "persist:shutdown": "graceful shutdown about to snapshot a session",
+    "persist:compact": "idle session's full log about to be checkpointed",
 })
 
 
@@ -84,6 +89,7 @@ class SessionManager:
             "evictions": 0,
             "forced_evictions": 0,
             "rehydrated": 0,
+            "compactions": 0,
         }
         # Work counters of sessions that already closed or were evicted,
         # so stats() totals cover the pool's whole lifetime.
@@ -246,6 +252,33 @@ class SessionManager:
         obs.set_gauge("service.sessions", len(self._sessions))
 
     # -- persistence ----------------------------------------------------------
+
+    def compact_idle(self) -> None:
+        """Checkpoint every idle session whose log is full.
+
+        The transport calls this when a connection owes no reply, so
+        the whole-document checkpoint a full log needs is written
+        between requests rather than on the flush that finds the log
+        full (that inline checkpoint stays as the fallback for traffic
+        that never pauses).  Only an idle session with a warm checkpoint
+        qualifies: one parked on a deferred batch is busy, and a session
+        without a warm checkpoint writes one on its next flush anyway.
+        A failed checkpoint raises nothing here: it clears the session's
+        warm mark, so its next flush writes the checkpoint.
+        """
+        if self.store is None:
+            return
+        for session in self._sessions.values():
+            if (
+                not session.idle
+                or session.persisted_text is None
+                or session.log_records < LOG_LIMIT
+            ):
+                continue
+            crash_point("persist:compact")
+            if self._persist_session(session, force=True):
+                self.counts["compactions"] += 1
+                obs.incr("persist.compactions")
 
     def _persist_session(self, session: Session, force: bool = False) -> bool:
         """Make the store hold the session's text; never raises.

@@ -44,8 +44,9 @@ session pool both properties:
   size) this process last wrote or read.
 
 Recovery replays one relex per log record, so the manager keeps the log
-at most :data:`LOG_LIMIT` records long by writing a checkpoint instead
-of the next append.
+at most :data:`LOG_LIMIT` records long: it checkpoints a full log while
+the service is idle, and a flush that still finds the log full writes a
+checkpoint instead of its append.
 
 The file layout is :data:`FORMAT` (the comment next to it says what the
 current format changed).  A file of an earlier format fails the format
@@ -104,13 +105,13 @@ _HEADER = struct.Struct(f"<{len(MAGIC)}sIQ32s")
 _RECORD = struct.Struct("<I32s")
 _SPLICE = struct.Struct("<QQ32s")
 
-# Most records a snapshot's log holds; the manager checkpoints instead
-# of appending past it.  Recovery replays one relex per record, and a
-# relex still costs O(edit offset), so a constant cap keeps a warm
-# recovery below a batch reparse at any document size.  Calc, the
-# cheapest grammar to batch-parse, sets the value: on the 3k-token
-# document `repro.bench.service` gates, a log of 16 scattered records
-# already brings recovery close to a batch reparse.
+# Most records a snapshot's log holds; the manager checkpoints a full
+# log at idle, or instead of appending past it.  Recovery replays one
+# relex per record, and a relex still costs O(edit offset), so a
+# constant cap keeps a warm recovery below a batch reparse at any
+# document size.  Calc, the cheapest grammar to batch-parse, sets the
+# value: on the 3k-token document `repro.bench.service` gates, a log of
+# 16 scattered records already brings recovery close to a batch reparse.
 LOG_LIMIT = 8
 
 # Parent-linked parse DAGs pickle recursively; give deep (unbalanced)

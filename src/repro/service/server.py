@@ -34,6 +34,7 @@ import sys
 from .. import obs
 from ..language import Language
 from ..langs import get_language, language_names, set_language_override
+from ..obs.collector import CollectorPauses
 from ..tables.cache import cache_stats, grammar_fingerprint, invalidate
 from .manager import CapacityError, SessionManager
 from .persist import SnapshotStore
@@ -117,6 +118,14 @@ class ServiceTransport:
     async def aclose(self) -> None:
         raise NotImplementedError
 
+    def on_idle(self) -> None:
+        """Upkeep for the moment a connection owes no reply; never raises.
+
+        The transport calls this after writing a reply when the
+        connection has no request in flight, so work done here delays
+        no reply that is already owed.  The default does nothing.
+        """
+
     async def _serve_streams(
         self,
         reader: asyncio.StreamReader,
@@ -142,6 +151,10 @@ class ServiceTransport:
                 if reply is None:
                     return
                 await write_line(encode(reply))
+                # A finished task's done callback may not have left
+                # ``pending`` yet, so ask each task rather than the set.
+                if outgoing.empty() and all(task.done() for task in pending):
+                    self.on_idle()
 
         async def run_one(request: dict) -> None:
             reply = await self.handle(request)
@@ -272,6 +285,10 @@ class AnalysisService(ServiceTransport):
         self.requests = 0
         self.timeouts = 0
         self._stopping = asyncio.Event()
+        # Collector pauses stall every session at once and sit inside
+        # no span; the stats reply reports them per generation.
+        self.collector = CollectorPauses()
+        self.collector.install()
 
     # -- dispatch -------------------------------------------------------------
 
@@ -291,6 +308,7 @@ class AnalysisService(ServiceTransport):
                 stats["requests"] = self.requests
                 stats["timeouts"] = self.timeouts
                 stats["table_cache"] = cache_stats()
+                stats["collector"] = self.collector.report()
                 return ok_reply(rid, stats=stats)
             if op == "shutdown":
                 self._stopping.set()
@@ -552,8 +570,13 @@ class AnalysisService(ServiceTransport):
                 pending=True,
             )
 
+    def on_idle(self) -> None:
+        """Checkpoint full snapshot logs while no reply is owed."""
+        self.manager.compact_idle()
+
     async def aclose(self) -> None:
         self.manager.close_all(snapshot=True)
+        self.collector.remove()
 
 
 def serve(args) -> int:

@@ -58,8 +58,12 @@ failure point.  The ``on_persist`` hook (wired by the manager to the
 snapshot store) runs *before* replies resolve, so an acked batch is a
 persisted batch; it usually appends one log record for the batch's text
 change, and the store's load folds that log into the tail
-``restore_from`` replays.  ``persisted_text`` and ``log_records`` are
-the manager's bookkeeping of what the store holds.
+``restore_from`` replays.  The whole-document checkpoint a full log
+needs is normally written later, while the service is idle
+(``SessionManager.compact_idle``); the hook writes it before the
+replies only when the log is still full at the next flush.
+``persisted_text`` and ``log_records`` are the manager's bookkeeping of
+what the store holds.
 """
 
 from __future__ import annotations

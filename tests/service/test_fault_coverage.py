@@ -19,6 +19,7 @@ import pytest
 from repro import Document, Language
 from repro.langs.calc import calc_language
 from repro.service import EditSpec, SessionManager, SnapshotStore
+from repro.service.persist import LOG_LIMIT
 from repro.testing import observed_points, registered_points
 
 pytestmark = [pytest.mark.service, pytest.mark.faults]
@@ -75,7 +76,16 @@ def make_service_driver(tmp_path):
         # (capture, serialize, write, publish).
         one = manager.open("one", language="calc")
         await one.open_with("a = 1;", 0)
-        await one.submit_edits(1, [EditSpec(4, 1, "9")])
+        # Fill the snapshot log; the idle pass checkpoints it
+        # (persist:compact).
+        for i in range(LOG_LIMIT):
+            number = one.shadow_text[4:-1]
+            await one.submit_edits(
+                i, [EditSpec(4, len(number), str(10 + i))]
+            )
+        manager.compact_idle()
+        assert manager.counts["compactions"] == 1
+        await one.submit_edits(1, [EditSpec(4, 2, "9")])
         two = manager.open("two", language="calc")
         await two.open_with("b = 2;", 0)
         # Idle eviction snapshots "one" (persist:evict).

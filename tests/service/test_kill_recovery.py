@@ -18,18 +18,22 @@ Kill points cover the per-flush append (before and after the record's
 write), the checkpoint path (capture/serialize/write/publish: the
 open's first checkpoint, and with ``:2`` the graceful-shutdown
 checkpoint, since every edit in between appends), the
-graceful-shutdown snapshot, and -- killing the *second* process during
+graceful-shutdown snapshot, the checkpoint of a full log written while
+the service is idle, and -- killing the *second* process during
 recovery -- the load/rehydrate path, which a third process must then
 survive.
 """
 
 import json
 import os
+import select
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from repro.service.persist import LOG_LIMIT
 
 pytestmark = [
     pytest.mark.service,
@@ -52,8 +56,7 @@ EDITS = [
 ]
 
 
-def run_serve(state_dir, requests, crash_at=None, timeout=120):
-    """One ``repro serve`` subprocess; returns (returncode, replies)."""
+def serve_env(crash_at=None):
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO_ROOT / "src") + os.pathsep + env.get(
         "PYTHONPATH", ""
@@ -62,14 +65,28 @@ def run_serve(state_dir, requests, crash_at=None, timeout=120):
         env["REPRO_CRASH_AT"] = crash_at
     else:
         env.pop("REPRO_CRASH_AT", None)
+    return env
+
+
+def serve_argv(state_dir):
+    return [sys.executable, "-m", "repro", "serve",
+            "--state-dir", str(state_dir)]
+
+
+def run_serve(state_dir, requests, crash_at=None, timeout=120):
+    """One ``repro serve`` subprocess; returns (returncode, replies).
+
+    The whole script is piped at once, so whether the service goes idle
+    between two requests is up to timing; :class:`InteractiveServe`
+    waits for each reply instead.
+    """
     proc = subprocess.run(
-        [sys.executable, "-m", "repro", "serve",
-         "--state-dir", str(state_dir)],
+        serve_argv(state_dir),
         input="".join(json.dumps(r) + "\n" for r in requests),
         capture_output=True,
         text=True,
         timeout=timeout,
-        env=env,
+        env=serve_env(crash_at),
         cwd=REPO_ROOT,
     )
     replies = []
@@ -199,3 +216,80 @@ def test_kill_during_recovery_then_third_process_recovers(
     # Third life: everything still recovers, byte-identical.
     recovered = verify_recovery(state, acked)
     assert recovered == {doc: texts[-1] for doc, texts in DOCS.items()}
+
+
+class InteractiveServe:
+    """A ``repro serve`` subprocess that answers one request at a time.
+
+    Each request waits for its reply before the next is sent, so the
+    service goes idle after every reply, as it does under an editor.
+    """
+
+    def __init__(self, state_dir, crash_at=None):
+        self.proc = subprocess.Popen(
+            serve_argv(state_dir),
+            stdin=subprocess.PIPE,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.DEVNULL,
+            text=True,
+            env=serve_env(crash_at),
+            cwd=REPO_ROOT,
+        )
+
+    def request(self, request, timeout=60):
+        """The reply, or None when the service died before writing it."""
+        self.proc.stdin.write(json.dumps(request) + "\n")
+        self.proc.stdin.flush()
+        ready, _, _ = select.select([self.proc.stdout], [], [], timeout)
+        assert ready, f"no reply to {request} within {timeout}s"
+        line = self.proc.stdout.readline()
+        return json.loads(line) if line else None
+
+    def wait(self, timeout=60):
+        return self.proc.wait(timeout=timeout)
+
+    def kill(self):
+        if self.proc.poll() is None:
+            self.proc.kill()
+            self.proc.wait()
+
+
+IDLE_CHECKPOINT_KILLS = [
+    "persist:compact:0",  # the full log's idle checkpoint about to start
+    "persist:publish:1",  # that checkpoint published, bookkeeping not
+]
+
+
+@pytest.mark.parametrize("crash_at", IDLE_CHECKPOINT_KILLS)
+def test_kill_during_idle_checkpoint_recovers_last_acked_text(
+    tmp_path, crash_at
+):
+    state = tmp_path / "state"
+    serve = InteractiveServe(state, crash_at=crash_at)
+    try:
+        reply = serve.request({"op": "open", "id": "open", "doc": "d",
+                               "language": "calc", "text": "a = 10;"})
+        assert reply["ok"], reply
+        acked = None
+        # The open wrote the first checkpoint (publish arrival 0); the
+        # edits append until the log is full, and the idle moment after
+        # the last reply checkpoints it -- where the kill lands.
+        for i in range(LOG_LIMIT):
+            reply = serve.request(
+                {"op": "edit", "id": i, "doc": "d", "echo_text": True,
+                 "edits": [{"at": 4, "remove": 2, "insert": str(20 + i)}]}
+            )
+            assert reply["ok"], reply
+            acked = reply["text"]
+        assert serve.wait() == -9
+    finally:
+        serve.kill()
+    assert acked == f"a = {20 + LOG_LIMIT - 1};"
+    code, replies = run_serve(state, [
+        {"op": "query", "id": "q", "doc": "d", "echo_text": True},
+        {"op": "shutdown", "id": "s"},
+    ])
+    assert code == 0, replies
+    recovered = next(reply for reply in replies if reply["id"] == "q")
+    assert recovered["ok"] and recovered.get("rehydrated") is True
+    assert recovered["text"] == acked

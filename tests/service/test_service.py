@@ -9,6 +9,7 @@ codes, timeouts, stats) -- plus one end-to-end subprocess run of
 """
 
 import asyncio
+import gc
 import json
 import os
 import subprocess
@@ -375,6 +376,25 @@ class TestService:
             assert stats["coalesce_ratio"] is None  # no edits yet
             assert stats["requests"] == 2
             await service.aclose()
+
+        run(go())
+
+    def test_stats_report_collector_passes(self):
+        async def go():
+            service = AnalysisService()
+
+            async def collector():
+                stats = await service.handle({"op": "stats", "id": 1})
+                return stats["stats"]["collector"]
+
+            before = await collector()
+            assert [entry["generation"] for entry in before] == [0, 1, 2]
+            gc.collect()
+            after = await collector()
+            assert after[2]["collections"] >= before[2]["collections"] + 1
+            assert after[2]["pause_ms"] >= after[2]["max_pause_ms"] > 0
+            await service.aclose()
+            assert service.collector not in gc.callbacks
 
         run(go())
 

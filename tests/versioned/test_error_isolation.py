@@ -1,11 +1,15 @@
 """Error-node isolation: malformed input commits a tree (paper 4.3)."""
 
+import random
+
 import pytest
 
-from repro import Document, Language
+from repro import Document, Language, obs
 from repro.dag.nodes import ErrorNode, ProductionNode
 from repro.dag.traversal import error_regions
 from repro.dag.validate import validate_document
+from repro.langs import get_language
+from repro.langs.generators import generate_program
 from repro.parser import ParseError
 
 LANG = Language.from_dsl(
@@ -125,3 +129,61 @@ class TestEditingThroughErrors:
         doc.insert(0, ")")
         doc.parse()
         assert doc.version == 2
+
+
+class TestRepairAfterIsolation:
+    @pytest.mark.parametrize(
+        "balanced", [True, False], ids=["balanced", "spines"]
+    )
+    def test_removing_a_confined_error_parses_incrementally(self, balanced):
+        # Isolation salvages "a = 1;" as a whole program sentence; the
+        # repaired text must parse without recovery, not be re-isolated.
+        doc = Document(
+            get_language("calc"),
+            "a = 1; b = 2 ) ; c = 3; d = 4;",
+            balanced_sequences=balanced,
+        )
+        assert doc.parse().error_regions == 1
+        doc.edit(doc.text.index(")"), 1, "")
+        with obs.collecting() as work:
+            report = doc.parse(recover=False)
+        assert work.get("doc.recoveries", 0) == 0
+        assert not report.recovered and not doc.has_errors
+        assert doc.source_text() == "a = 1; b = 2  ; c = 3; d = 4;"
+        assert validate_document(doc) == []
+
+
+def token_spans(doc):
+    """(offset, text) of every non-empty token, trivia skipped."""
+    spans = []
+    offset = 0
+    for node in doc.tokens:
+        token = node.token
+        offset += len(token.trivia)
+        if token.text:
+            spans.append((offset, token.text))
+        offset += len(token.text)
+    return spans
+
+
+@pytest.mark.fuzz
+@pytest.mark.parametrize("balanced", [True, False], ids=["balanced", "spines"])
+@pytest.mark.parametrize("name", ["calc", "minic", "fullc"])
+def test_retyping_a_deleted_token_parses_without_recovery(name, balanced):
+    """Delete a token, isolate, type it back: valid text parses as is."""
+    lang = get_language(name)
+    rng = random.Random(f"retype-{name}-{balanced}")
+    for trial in range(20):
+        doc = Document(
+            lang, generate_program(name, 8, seed=trial),
+            balanced_sequences=balanced,
+        )
+        doc.parse(recover=False)
+        at, text = rng.choice(token_spans(doc))
+        doc.edit(at, len(text), "")
+        doc.isolate()
+        doc.edit(at, 0, text)
+        report = doc.parse(recover=False)
+        assert not report.recovered, (trial, at, text)
+        assert doc.source_text() == doc.text
+        assert validate_document(doc) == []
