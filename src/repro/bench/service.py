@@ -170,8 +170,11 @@ async def _run_load(
     # Latency-tuned GC for the measured window, the way long-lived
     # loop servers deploy: freeze the startup corpus (the parsed trees
     # dominate the live heap) and defer full collections off the
-    # request path.  Young-generation collection stays on; the parse
-    # DAG is acyclic, so dead nodes are reclaimed by refcounting.
+    # request path.  Young-generation collection stays on.  The parse
+    # DAG is parent-linked, so it is cyclic: a document the service
+    # lets go of is released (its parent links cleared) and freed by
+    # refcounting, but the structure each incremental parse replaces
+    # is still cyclic garbage that only the collector reclaims.
     saved_threshold = gc.get_threshold()
     gc.collect()
     gc.freeze()

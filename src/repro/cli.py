@@ -262,8 +262,9 @@ def _service_stats(target: str, as_json: bool) -> int:
     """``repro stats --service HOST:PORT``: one live stats scrape.
 
     Works against both backends; a sharded server answers with the
-    merged view (per-worker counters summed, retired lives included)
-    plus a ``dispatcher`` section describing each shard.
+    merged view (per-worker counters and collector pauses summed,
+    retired lives included) plus a ``dispatcher`` section describing
+    each shard.
     """
     import json
     import socket
@@ -347,6 +348,14 @@ def _service_stats(target: str, as_json: bool) -> int:
             f"quarantined={store.get('quarantined', 0)} "
             f"lock_waits={store.get('lock_waits', 0)} "
             f"conflicts={store.get('save_conflicts', 0)}"
+        )
+    for entry in stats.get("collector") or ():
+        print(
+            f"collector gen {entry['generation']}: "
+            f"{entry['collections']} pass(es), "
+            f"{entry['collected']} collected, "
+            f"{entry['pause_ms']:.1f} ms paused "
+            f"(largest {entry['max_pause_ms']:.1f} ms)"
         )
     counters = stats.get("counters") or {}
     if counters:

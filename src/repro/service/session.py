@@ -75,7 +75,6 @@ from .. import obs
 from ..language import Language
 from ..parser.iglr import ParseError
 from ..semantics.analyzer import TypedefAnalyzer
-from ..tables.cache import grammar_fingerprint
 from ..testing.faults import crash_point, register_points
 from ..versioned.document import AnalysisReport, Document
 from .persist import SessionSnapshot, _splice
@@ -371,7 +370,7 @@ class Session:
         return work.future
 
     def shut_down(self, *, cancel: bool = True) -> None:
-        """Evict/stop: fail queued waiters and kill the worker."""
+        """Evict/stop: fail queued waiters, kill the worker, free the DAG."""
         self.closed = True
         while True:
             try:
@@ -385,6 +384,18 @@ class Session:
         if cancel and self._worker is not None:
             self._worker.cancel()
             self._worker = None
+        self._release_document()
+
+    def _release_document(self) -> None:
+        """Let go of the document and its analyzer, freeing the DAG now.
+
+        A dropped DAG is otherwise one reference cycle that waits for a
+        full collection (see :meth:`Document.release`).  Callers persist
+        first: a released document has no committed tree to snapshot.
+        """
+        doc, self.doc, self.analyzer = self.doc, None, None
+        if doc is not None:
+            doc.release()
 
     # -- worker side ----------------------------------------------------------
 
@@ -540,6 +551,7 @@ class Session:
             self.language, target, balanced_sequences=self.balanced
         )
         report = _parse_as_typed(doc)
+        self._release_document()
         self.doc = doc
         return report
 
@@ -569,13 +581,13 @@ class Session:
             if work.kind == "reload":
                 # Swap tables *before* the stale check below: the old
                 # committed DAG is built from the old table's states, so
-                # it is discarded and the rebuild parses the same
+                # it is released and the rebuild parses the same
                 # authoritative text under the new grammar.
                 self.language = work.new_language
                 if work.new_label is not None:
                     self.language_label = work.new_label
                 self.grammar_source = work.new_grammar_source
-                self.doc = None
+                self._release_document()
             if (
                 self.doc is None
                 or self.doc.text != work.target
@@ -589,9 +601,7 @@ class Session:
             if work.kind == "reload":
                 fields = self._state_fields()
                 fields["reloaded"] = True
-                fields["table_key"] = grammar_fingerprint(
-                    self.language.grammar, self.language.table.method, True
-                )
+                fields["table_key"] = self.language.table_key
                 if self.semantics_active:
                     fields.update(self._run_semantics())
                 if self._on_persist is not None:
@@ -790,9 +800,7 @@ class Session:
             text=self.shadow_text,
             journal_tail=tail,
             version=self.doc.version if self.doc is not None else 0,
-            table_key=grammar_fingerprint(
-                self.language.grammar, self.language.table.method, True
-            ),
+            table_key=self.language.table_key,
             version_opened=self.version_opened,
             doc_payload=doc_payload,
         )
@@ -820,9 +828,7 @@ class Session:
         # session's tables: fall through to the text-only path, which
         # reparses under the current grammar.
         payload_usable = snapshot.doc_payload is not None
-        if payload_usable and snapshot.table_key != grammar_fingerprint(
-            self.language.grammar, self.language.table.method, True
-        ):
+        if payload_usable and snapshot.table_key != self.language.table_key:
             obs.incr("persist.rehydrate_table_mismatch")
             payload_usable = False
         if payload_usable:

@@ -16,7 +16,9 @@ last commit is a new node with no parent yet.
   exists, and panic-mode error isolation confines the damage to
   :class:`~repro.dag.nodes.ErrorNode` regions when it does not;
 * :meth:`isolate` runs that isolation on its own, for a client whose
-  text is authoritative and must never see its edits reverted.
+  text is authoritative and must never see its edits reverted;
+* :meth:`release` lets go of the parent-linked DAG when the document is
+  dropped, so reference counting frees it.
 
 Every version change -- a parse, a recovery trial, an isolation -- is
 transactional: a first-touch mutation journal (see
@@ -526,6 +528,50 @@ class Document:
             return 0
         census(self.tree)
         return self.tree.n_nodes
+
+    # -- lifetime -------------------------------------------------------------
+
+    def release(self) -> None:
+        """Let go of the parse DAG so reference counting frees it at once.
+
+        The DAG is parent-linked, so a dropped document is one large
+        reference cycle that only a full cyclic collection reclaims.
+        This clears the ``parent`` link of every node the document can
+        reach through ``kids`` and ``parent`` links, starting from the
+        committed tree, the token stream, the last parse's new nodes
+        (dead GLR branches included) and the removed terminals.  A link
+        is followed before it is cleared, which matters: the structure
+        the last edit replaced hangs from the removed terminals, and a
+        dead branch or a discarded sequence part hangs from a new node,
+        and both still point down into live subtrees.
+
+        The document keeps its text and version; its next :meth:`parse`
+        lexes and parses from scratch.  Not journaled: never call this
+        inside a transaction.
+        """
+        stack: list[Node] = [
+            *self.tokens, *self.last_removed_terminals, *self._removed_nodes
+        ]
+        if self.tree is not None:
+            stack.append(self.tree)
+        if self.last_result is not None:
+            stack.extend(self.last_result.new_nodes)
+        seen: set[int] = set()
+        while stack:
+            node = stack.pop()
+            if id(node) in seen:
+                continue
+            seen.add(id(node))
+            if node.parent is not None:
+                stack.append(node.parent)
+                node.parent = None
+            stack.extend(node.kids)
+        self.tree = None
+        self.tokens = []
+        self.last_result = None
+        self.last_removed_terminals = []
+        self._removed_nodes = []
+        self._error_count = 0
 
     # -- persistence ----------------------------------------------------------
 

@@ -176,6 +176,38 @@ def test_dispatcher_deferred_edits_coalesce():
     asyncio.run(go())
 
 
+def test_merged_collector_sums_the_workers():
+    """The top-level ``collector`` is the workers' reports, summed."""
+
+    async def go():
+        service = ShardDispatcher(2, request_timeout=30.0)
+        for shard in (0, 1):
+            doc = docs_for_shard(shard, 2)[0]
+            reply = await service.handle(
+                {"op": "open", "id": doc, "doc": doc, "language": "calc",
+                 "text": "x = 1;"}
+            )
+            assert reply["ok"], reply
+        stats = (await service.handle({"op": "stats", "id": "s"}))["stats"]
+        await service.aclose()
+        return stats
+
+    stats = asyncio.run(go())
+    workers = [w["collector"] for w in stats["per_worker"]]
+    assert len(workers) == 2
+    merged = stats["collector"]
+    assert [entry["generation"] for entry in merged] == [0, 1, 2]
+    for entry in merged:
+        own = [worker[entry["generation"]] for worker in workers]
+        for key in ("collections", "collected"):
+            assert entry[key] == sum(e[key] for e in own), key
+        assert entry["pause_ms"] == pytest.approx(
+            sum(e["pause_ms"] for e in own), abs=1e-3
+        )
+        assert entry["max_pause_ms"] == max(e["max_pause_ms"] for e in own)
+    assert merged[0]["collections"] > 0
+
+
 # -- cross-process parse-table warm start -------------------------------------
 
 

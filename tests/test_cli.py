@@ -281,3 +281,6 @@ class TestServiceStats:
         assert not thread.is_alive()
         out = capsys.readouterr().out
         assert "queue=2" in out
+        # One line per collector generation.
+        for generation in range(3):
+            assert f"collector gen {generation}: " in out

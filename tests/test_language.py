@@ -4,6 +4,8 @@ import pytest
 
 from repro import Language
 from repro.grammar import GrammarError
+from repro.langs import get_language, language_names
+from repro.tables.cache import grammar_fingerprint
 
 CALC = """
 %token NUM /[0-9]+/
@@ -52,3 +54,17 @@ class TestLanguage:
     def test_bad_grammar_raises(self):
         with pytest.raises(GrammarError):
             Language.from_dsl("%start s\n")
+
+    @pytest.mark.parametrize("name", language_names())
+    def test_table_key_is_the_fingerprint(self, name):
+        """Computed once, the key equals the fingerprint snapshots on
+        disk were stamped with."""
+        lang = get_language(name)
+        assert lang.table_key == grammar_fingerprint(
+            lang.grammar, lang.table.method, True
+        )
+
+    def test_table_key_of_an_inline_grammar(self):
+        lang = Language.from_dsl(CALC, method="slr")
+        assert lang.table_key == grammar_fingerprint(lang.grammar, "slr", True)
+        assert lang.table_key != Language.from_dsl(CALC).table_key
